@@ -1,19 +1,25 @@
 """Closed-form upper bounds, parity obstruction, and exact feasible-set
 formulas for cycles and trees.
 
-Every bound records which structural premises it verified; a bound whose
-premises fail reports not-applicable (None) instead of a value.  The edge
-count always caps the number of usable colors, so best_upper is finite for
-every graph.
+The upper bounds form one table of (name, premises, value).  Premises are
+read from the graph's cached metrics, and a value is computed only when
+every premise holds; otherwise the bound reports not-applicable (None).
+report() and the bound_* functions read the same rows.  The edge count
+always caps the number of usable colors, so best_upper is finite for every
+graph.
+
+The shortest-path bound and the tree metric share one dynamic program for
+W, the largest sum of (degree - 1) over the vertices of a shortest path:
+the bound is 1 + 2W, and since LP(u, v) = 1 + sum(deg - 1) over the u-v
+path of a tree, tree_m is 1 + W in O(|V| |E|) time.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, GraphError, is_tree, metrics
+from .graphs import Graph, GraphError, GraphMetrics, bfs, is_tree, metrics
 
 
 @dataclass(frozen=True)
@@ -77,61 +83,67 @@ class BoundReport:
         return "\n".join(rows)
 
 
-def bound_triangle_free(g: Graph) -> Optional[int]:
-    """|V| + max_degree - 2 for connected triangle-free graphs on >= 2
-    vertices; not-applicable otherwise."""
-    m = metrics(g)
-    if not (m.is_connected and m.is_triangle_free and g.vertex_count >= 2):
-        return None
-    return g.vertex_count + m.max_degree - 2
-
-
-def bound_general(g: Graph) -> Optional[int]:
-    """2|V| + max_degree - 4 for connected graphs on two vertices, one less
-    with three or more vertices."""
-    m = metrics(g)
-    if not m.is_connected or g.vertex_count < 2:
-        return None
-    slack = 4 if g.vertex_count == 2 else 5
-    return 2 * g.vertex_count + m.max_degree - slack
-
-
-def bound_shortest_paths(g: Graph) -> Optional[int]:
-    """1 + 2 * max over shortest paths of the path's degree-sum excess.
-
-    The max runs over every minimum-length path between every ordered vertex
-    pair, computed by dynamic programming over each BFS level structure.
-    """
-    if g.vertex_count < 2 or not metrics(g).is_connected:
-        return None
+def _heaviest_shortest_path(g: Graph) -> int:
+    """W: the max over shortest paths between distinct vertices of the sum
+    of (degree - 1) over the path's vertices, by dynamic programming over
+    each BFS level structure; 0 below two vertices."""
     weight = [d - 1 for d in g.degrees]
     best = 0
     for s in range(g.vertex_count):
         dist = [-1] * g.vertex_count
-        dist[s] = 0
-        order = [s]
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in g.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    order.append(v)
-                    q.append(v)
+        order = bfs(g, s, dist)
         f = [0] * g.vertex_count
         f[s] = weight[s]
         for v in order[1:]:
             f[v] = weight[v] + max(f[u] for u in g.adjacency[v] if dist[u] == dist[v] - 1)
             best = max(best, f[v])
-    return 1 + 2 * best
+    return best
+
+
+# name -> (premises, value); a value is computed only when every premise holds
+_BOUNDS = {
+    "triangle-free-order": (("connected", "triangle-free", "at-least-2-vertices"),
+                            lambda g, m: g.vertex_count + m.max_degree - 2),
+    "general-order": (("connected", "at-least-2-vertices"),
+                      lambda g, m: 2 * g.vertex_count + m.max_degree
+                      - (4 if g.vertex_count == 2 else 5)),
+    "shortest-path-degree-sum": (("connected", "at-least-2-vertices"),
+                                 lambda g, m: 1 + 2 * _heaviest_shortest_path(g)),
+    "bipartite-diameter": (("connected", "bipartite"),
+                           lambda g, m: 1 + 2 * m.diameter * (m.max_degree - 1)),
+    "edge-count": ((), lambda g, m: g.edge_count),
+}
+
+
+def _entry(g: Graph, m: GraphMetrics, name: str) -> BoundEntry:
+    facts = {"connected": m.is_connected, "triangle-free": m.is_triangle_free,
+             "at-least-2-vertices": g.vertex_count >= 2, "bipartite": m.is_bipartite}
+    needs, value = _BOUNDS[name]
+    premises = tuple((p, facts[p]) for p in needs)
+    return BoundEntry(name, value(g, m) if all(ok for _, ok in premises) else None, premises)
+
+
+def bound_triangle_free(g: Graph) -> Optional[int]:
+    """|V| + max_degree - 2 for connected triangle-free graphs on >= 2
+    vertices; not-applicable otherwise."""
+    return _entry(g, metrics(g), "triangle-free-order").value
+
+
+def bound_general(g: Graph) -> Optional[int]:
+    """2|V| + max_degree - 4 for connected graphs on two vertices, one less
+    with three or more vertices."""
+    return _entry(g, metrics(g), "general-order").value
+
+
+def bound_shortest_paths(g: Graph) -> Optional[int]:
+    """1 + 2W for connected graphs on >= 2 vertices, where W is the largest
+    degree-sum excess sum(deg - 1) over the vertices of any shortest path."""
+    return _entry(g, metrics(g), "shortest-path-degree-sum").value
 
 
 def bound_bipartite_diam(g: Graph) -> Optional[int]:
     """1 + 2 * diameter * (max_degree - 1) for connected bipartite graphs."""
-    m = metrics(g)
-    if not (m.is_connected and m.is_bipartite) or m.diameter is None:
-        return None
-    return 1 + 2 * m.diameter * (m.max_degree - 1)
+    return _entry(g, metrics(g), "bipartite-diameter").value
 
 
 def parity_obstruction(g: Graph) -> ParityObstruction:
@@ -147,20 +159,7 @@ def parity_obstruction(g: Graph) -> ParityObstruction:
 
 def report(g: Graph) -> BoundReport:
     m = metrics(g)
-    nv, delta = g.vertex_count, m.max_degree
-    conn = m.is_connected
-    entries = (
-        BoundEntry("triangle-free-order", bound_triangle_free(g),
-                   (("connected", conn), ("triangle-free", m.is_triangle_free),
-                    ("at-least-2-vertices", nv >= 2))),
-        BoundEntry("general-order", bound_general(g),
-                   (("connected", conn), ("at-least-2-vertices", nv >= 2))),
-        BoundEntry("shortest-path-degree-sum", bound_shortest_paths(g),
-                   (("connected", conn), ("at-least-2-vertices", nv >= 2))),
-        BoundEntry("bipartite-diameter", bound_bipartite_diam(g),
-                   (("connected", conn), ("bipartite", m.is_bipartite))),
-        BoundEntry("edge-count", g.edge_count, ()),
-    )
+    entries = tuple(_entry(g, m, name) for name in _BOUNDS)
     best = min(e.value for e in entries if e.applicable)
     return BoundReport(g.digest(), entries, parity_obstruction(g), best)
 
@@ -188,21 +187,12 @@ def tree_lp(tree: Graph, u: int, v: int) -> int:
         raise GraphError("input must be a tree")
     if u == v:
         raise ValueError("endpoints must differ")
-    parent = [-1] * tree.vertex_count
-    parent[u] = u
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        if x == v:
-            break
-        for y in tree.adjacency[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                q.append(y)
+    dist = [-1] * tree.vertex_count
+    bfs(tree, u, dist)
     path = {v}
     x = v
     while x != u:
-        x = parent[x]
+        x = next(y for y in tree.adjacency[x] if dist[y] == dist[x] - 1)
         path.add(x)
     path_edges = len(path) - 1
     off = sum(1 for a, b in tree.edges if (a in path) != (b in path))
@@ -211,12 +201,11 @@ def tree_lp(tree: Graph, u: int, v: int) -> int:
 
 def tree_m(tree: Graph) -> int:
     """Max of tree_lp over all vertex pairs; equals the largest usable color
-    count for the tree."""
+    count for the tree.  Since LP(u, v) = 1 + sum(deg - 1) over the u-v path,
+    this is 1 + W for the W of the shortest-path bound."""
     if not is_tree(tree) or tree.vertex_count < 2:
         raise GraphError("input must be a tree with at least 2 vertices")
-    return max(tree_lp(tree, u, v)
-               for u in range(tree.vertex_count)
-               for v in range(u + 1, tree.vertex_count))
+    return 1 + _heaviest_shortest_path(tree)
 
 
 def tree_feasible_set(tree: Graph) -> tuple[int, ...]:

@@ -31,6 +31,18 @@ class ConstructionRequest:
     t: Optional[int] = None
 
 
+# family -> (arity, colorer over the parameter tuple)
+_FAMILIES = {
+    "gdn": (2, lambda p: color_gdn(*p)),
+    "complete-odd": (1, lambda p: color_complete_odd(*p)),
+    "bipartite-cyclic": (2, lambda p: color_complete_bipartite_cyclic(*p)),
+    "bipartite-interval": (2, lambda p: canonical_bipartite_interval(*p)),
+    "tripartite": (3, lambda p: color_tripartite(*p)),
+    "hypercube-cyclic": (1, lambda p: color_hypercube_cyclic(*p)),
+    "hypercube-interval": (1, lambda p: hypercube_base_interval(*p)[:2]),
+}
+
+
 def build_construction(req: ConstructionRequest) -> tuple[Graph, EdgeColoring]:
     """Dispatch a request to the matching colorer.
 
@@ -38,29 +50,12 @@ def build_construction(req: ConstructionRequest) -> tuple[Graph, EdgeColoring]:
     bipartite-interval(m, n), tripartite(l, m, n), hypercube-cyclic(n),
     hypercube-interval(n).
     """
-    arities = {"gdn": 2, "complete-odd": 1, "bipartite-cyclic": 2,
-               "bipartite-interval": 2, "tripartite": 3,
-               "hypercube-cyclic": 1, "hypercube-interval": 1}
-    if req.family not in arities:
+    if req.family not in _FAMILIES:
         raise ValueError(f"unknown construction family: {req.family}")
-    if len(req.params) != arities[req.family]:
-        raise ValueError(
-            f"{req.family} takes {arities[req.family]} parameter(s), got {len(req.params)}")
-    p = req.params
-    if req.family == "gdn":
-        g, col = color_gdn(*p)
-    elif req.family == "complete-odd":
-        g, col = color_complete_odd(*p)
-    elif req.family == "bipartite-cyclic":
-        g, col = color_complete_bipartite_cyclic(*p)
-    elif req.family == "bipartite-interval":
-        g, col = canonical_bipartite_interval(*p)
-    elif req.family == "tripartite":
-        g, col = color_tripartite(*p)
-    elif req.family == "hypercube-cyclic":
-        g, col = color_hypercube_cyclic(*p)
-    else:
-        g, col, _ = hypercube_base_interval(*p)
+    arity, build = _FAMILIES[req.family]
+    if len(req.params) != arity:
+        raise ValueError(f"{req.family} takes {arity} parameter(s), got {len(req.params)}")
+    g, col = build(req.params)
     if req.t is not None and req.t != col.t:
         col = mod_reduce(g, col, req.t)
     return g, col

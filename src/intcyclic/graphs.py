@@ -3,13 +3,17 @@
 Vertices are 0-based indices.  Edges are stored as (u, v) pairs with u < v,
 sorted lexicographically; that sorted order is the canonical index space
 every edge-coloring in this package refers to.
+
+Every graph walk goes through one helper, bfs(g, src, dist): it returns the
+vertices in visit order and fills a distance array the caller owns.
+metrics(g) is computed once per Graph object and cached on it, so repeated
+calls from the bounds, the solver and the certificates cost nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -76,6 +80,22 @@ class Graph:
             inc[u].append(i)
             inc[v].append(i)
         return tuple(tuple(a) for a in inc)
+
+    @cached_property
+    def _metrics(self) -> GraphMetrics:
+        # read through metrics(); computed once per object
+        comps = component_count(self)
+        degs = self.degrees
+        return GraphMetrics(
+            degrees=degs,
+            max_degree=max(degs, default=0),
+            components=comps,
+            diameter=diameter(self),
+            is_eulerian=comps == 1 and all(d % 2 == 0 for d in degs),
+            is_triangle_free=is_triangle_free(self),
+            is_bipartite=is_bipartite(self),
+            edge_count=self.edge_count,
+        )
 
     @property
     def edge_count(self) -> int:
@@ -156,35 +176,39 @@ def _is_int(x) -> bool:
 # ---------------------------------------------------------------------------
 # structural predicates / metrics
 
-def _bfs_dists(g: Graph, src: int) -> list[int]:
-    dist = [-1] * g.vertex_count
+def bfs(g: Graph, src: int, dist: list[int]) -> list[int]:
+    """Breadth-first walk from src; returns the vertices in visit order.
+
+    The caller owns `dist`: vertices with dist >= 0 count as visited, and
+    every vertex reached gets its distance from src.  Reusing one array
+    across calls walks a graph component by component.
+    """
     dist[src] = 0
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for v in g.adjacency[u]:
+    order = [src]
+    adjacency = g.adjacency
+    for u in order:  # the list grows while it is read: a FIFO queue
+        du = dist[u] + 1
+        for v in adjacency[u]:
             if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
+                dist[v] = du
+                order.append(v)
+    return order
+
+
+def _component_dists(g: Graph) -> tuple[int, list[int]]:
+    """Component count, and each vertex's distance from the first vertex of
+    its component."""
+    dist = [-1] * g.vertex_count
+    count = 0
+    for s in range(g.vertex_count):
+        if dist[s] < 0:
+            count += 1
+            bfs(g, s, dist)
+    return count, dist
 
 
 def component_count(g: Graph) -> int:
-    seen = [False] * g.vertex_count
-    count = 0
-    for s in range(g.vertex_count):
-        if seen[s]:
-            continue
-        count += 1
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-    return count
+    return _component_dists(g)[0]
 
 
 def is_connected(g: Graph) -> bool:
@@ -192,21 +216,10 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_bipartite(g: Graph) -> bool:
-    side = [-1] * g.vertex_count
-    for s in range(g.vertex_count):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in g.adjacency[u]:
-                if side[v] < 0:
-                    side[v] = 1 - side[u]
-                    q.append(v)
-                elif side[v] == side[u]:
-                    return False
-    return True
+    # BFS levels 2-color each component; an edge between two levels of the
+    # same parity closes an odd cycle
+    dist = _component_dists(g)[1]
+    return all((dist[u] ^ dist[v]) & 1 for u, v in g.edges)
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -227,27 +240,19 @@ def leaves(g: Graph) -> tuple[int, ...]:
 
 def diameter(g: Graph) -> Optional[int]:
     """Exact diameter via all-pairs BFS; None when disconnected or empty."""
-    if g.vertex_count == 0 or not is_connected(g):
+    if not is_connected(g):
         return None
     best = 0
     for s in range(g.vertex_count):
-        best = max(best, max(_bfs_dists(g, s)))
+        dist = [-1] * g.vertex_count
+        best = max(best, dist[bfs(g, s, dist)[-1]])  # the last visit is the farthest
     return best
 
 
 def metrics(g: Graph) -> GraphMetrics:
-    comps = component_count(g)
-    degs = g.degrees
-    return GraphMetrics(
-        degrees=degs,
-        max_degree=max(degs, default=0),
-        components=comps,
-        diameter=diameter(g),
-        is_eulerian=comps == 1 and all(d % 2 == 0 for d in degs),
-        is_triangle_free=is_triangle_free(g),
-        is_bipartite=is_bipartite(g),
-        edge_count=g.edge_count,
-    )
+    """The graph's structural metrics, computed on the first call for each
+    Graph object and cached on it."""
+    return g._metrics
 
 
 # ---------------------------------------------------------------------------

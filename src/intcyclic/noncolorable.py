@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import tree_m
-from .graphs import Graph, GraphError, is_tree, leaves, make_kstar, make_tree_hat, metrics
+from .graphs import (Graph, GraphError, bfs, is_tree, leaves, make_kstar, make_tree_hat,
+                     metrics)
 
 NONCOLORABLE = "graph admits no interval cyclic coloring"
 
@@ -65,21 +66,12 @@ class Certificate:
 
 
 def _all_leaf_distances_even(tree: Graph) -> bool:
-    from collections import deque
+    # in a tree d(a, b) has the parity of dist(s, a) + dist(s, b) for any s,
+    # so one walk from a leaf settles every pair of leaves
     leaf_set = leaves(tree)
-    for s in leaf_set:
-        dist = [-1] * tree.vertex_count
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in tree.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
-        if any(v != s and dist[v] % 2 for v in leaf_set):
-            return False
-    return True
+    dist = [-1] * tree.vertex_count
+    bfs(tree, leaf_set[0], dist)
+    return all(dist[v] % 2 == 0 for v in leaf_set)
 
 
 def build_certified_tree_hat(tree: Graph) -> tuple[Graph, Certificate]:

@@ -14,8 +14,8 @@ bit-identical run to run.
 
 from __future__ import annotations
 
+import os
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 from . import bounds as bounds_mod
 from . import noncolorable as nc
 from .coloring import EdgeColoring, validate_cyclic
-from .graphs import Graph, metrics
+from .graphs import Graph, bfs, metrics
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -38,12 +38,11 @@ class SolveOutcome:
     t: int
     witness: Optional[EdgeColoring]
     nodes_explored: int
-    elapsed: float
+    elapsed: float  # wall seconds; kept out of to_dict() so output is byte-stable
 
     def to_dict(self) -> dict:
         d: dict = {"decision": self.decision, "t": self.t,
-                   "nodes_explored": self.nodes_explored,
-                   "elapsed": round(self.elapsed, 6)}
+                   "nodes_explored": self.nodes_explored}
         if self.witness is not None:
             d["witness"] = self.witness.to_dict()
         return d
@@ -84,27 +83,18 @@ class _BudgetExhausted(Exception):
 
 def _search_order(g: Graph) -> list[int]:
     """Edge indices ordered by BFS from a maximum-degree vertex (per
-    component), appending each dequeued vertex's unseen incident edges."""
-    n = g.vertex_count
-    visited = [False] * n
+    component), appending each visited vertex's unseen incident edges."""
+    dist = [-1] * g.vertex_count
     added = [False] * g.edge_count
     order: list[int] = []
-    by_degree = sorted(range(n), key=lambda v: (-g.degrees[v], v))
-    for start in by_degree:
-        if visited[start]:
+    for start in sorted(range(g.vertex_count), key=lambda v: (-g.degrees[v], v)):
+        if dist[start] >= 0:
             continue
-        visited[start] = True
-        q = deque([start])
-        while q:
-            u = q.popleft()
+        for u in bfs(g, start, dist):
             for e in g.incident_edges[u]:
                 if not added[e]:
                     added[e] = True
                     order.append(e)
-            for v in g.adjacency[u]:
-                if not visited[v]:
-                    visited[v] = True
-                    q.append(v)
     return order
 
 
@@ -215,11 +205,13 @@ def _decide_task(args: tuple[Graph, int, Optional[int]]) -> SolveOutcome:
 def feasible_set(g: Graph, t_hi: Optional[int] = None,
                  node_budget: Optional[int] = None, jobs: int = 1) -> FeasibleSet:
     """Decide every color count in the bounded range; exhausted is False when
-    any single decision timed out."""
+    any single decision timed out.  At most min(jobs, number of t values,
+    CPU count) worker processes run; with one, the decisions run in-process."""
     lo, hi = search_range(g, t_hi)
     ts = list(range(lo, hi + 1))
-    if jobs > 1 and len(ts) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(ts), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_decide_task, [(g, t, node_budget) for t in ts]))
     else:
         outcomes = [decide(g, t, node_budget) for t in ts]

@@ -25,7 +25,8 @@ from intcyclic.bounds import (
     tree_lp,
     tree_m,
 )
-from intcyclic.graphs import all_trees_up_to
+from intcyclic import graphs
+from intcyclic.graphs import all_trees_up_to, enumerate_trees
 
 import oracles
 
@@ -165,6 +166,13 @@ class TestTreeMetrics:
     def test_m_of_hub_tree(self):
         assert tree_m(make_hub_tree(10, 10)) == 30
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_m_is_max_pair_metric(self, n):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for tree in enumerate_trees(n):
+            assert tree_m(tree) == max(tree_lp(tree, u, v) for u, v in pairs) == \
+                max(oracles.lp_by_degree_sum(n, tree.edges, u, v) for u, v in pairs)
+
     def test_feasible_interval(self):
         assert tree_feasible_set(make_path(5)) == (2, 3, 4)
         assert tree_feasible_set(make_complete_bipartite(1, 3)) == (3,)
@@ -206,6 +214,21 @@ class TestReport:
         assert by_name["triangle-free-order"].value is None
         assert dict(by_name["triangle-free-order"].premises)["triangle-free"] is False
         assert by_name["edge-count"].value == 3
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_cycle(5), lambda: make_hypercube(4), lambda: make_complete(4),
+        lambda: make_kstar(2, 11), lambda: Graph(4, ((0, 1), (2, 3)))],
+        ids=["C5", "Q4", "K4", "kstar-2-11", "two-K2"])
+    def test_diameter_computed_once_per_graph(self, monkeypatch, make):
+        calls = []
+        real = graphs.diameter
+        monkeypatch.setattr(graphs, "diameter", lambda g: calls.append(g) or real(g))
+        g = make()
+        report(g)
+        assert len(calls) == 1
+        report(g)
+        metrics(g)
+        assert len(calls) == 1
 
     def test_table_renders(self):
         text = report(make_cycle(4)).table()

@@ -165,6 +165,14 @@ class TestSolve:
         assert code == 1
         assert json.loads(stdout)["decision"] == "infeasible"
 
+    @pytest.mark.parametrize("t", ["4", "5"])
+    def test_single_t_output_byte_stable(self, tmp_path, capsys, t):
+        g_path = tmp_path / "c5.json"
+        run(capsys, "gen", "cycle", "5", "-o", str(g_path))
+        _, out1, _ = run(capsys, "solve", "-g", str(g_path), "--t", t)
+        _, out2, _ = run(capsys, "solve", "-g", str(g_path), "--t", t)
+        assert out1 == out2
+
     def test_budget_exhausted_exit(self, tmp_path, capsys):
         g_path = tmp_path / "k7.json"
         run(capsys, "gen", "complete", "7", "-o", str(g_path))

@@ -6,10 +6,14 @@ from intcyclic import (
     make_complete_bipartite,
     make_complete_tripartite,
     make_cycle,
+    make_gdn,
+    make_hub_tree,
     make_hypercube,
     make_kstar,
     make_path,
+    make_tree_hat,
     metrics,
+    solver,
     validate_cyclic,
 )
 from intcyclic.bounds import parity_obstruction
@@ -70,6 +74,19 @@ class TestDecide:
         assert a.decision == b.decision
         assert a.nodes_explored == b.nodes_explored
         assert a.witness == b.witness
+
+    # node counts at a fixed budget pin the search's edge order and pruning
+    @pytest.mark.parametrize("g,t,decision,nodes", [
+        (make_complete(5), 7, INFEASIBLE, 629),
+        (make_hypercube(3), 8, FEASIBLE, 196),
+        (make_gdn(4, 4), 10, FEASIBLE, 135),
+        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 987),
+        (make_complete(6), 8, FEASIBLE, 15),
+        (make_tree_hat(make_hub_tree(2, 2)), 5, FEASIBLE, 12),
+    ], ids=["K5", "Q3", "G4-4", "K1-2-3", "K6", "hub-tree-hat"])
+    def test_pinned_node_counts(self, g, t, decision, nodes):
+        out = decide(g, t, node_budget=200_000)
+        assert (out.decision, out.nodes_explored) == (decision, nodes)
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
@@ -166,6 +183,30 @@ class TestFeasibleSet:
     def test_jobs_do_not_change_members(self):
         g = make_cycle(6)
         assert feasible_set(g).members == feasible_set(g, jobs=2).members
+
+    # C5 has 4 t values to decide; a fake pool records how many workers start
+    @pytest.mark.parametrize("cpus,started", [(3, [3]), (64, [4]), (1, []), (None, [])])
+    def test_worker_count_bounded(self, monkeypatch, cpus, started):
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
+        fs = feasible_set(make_cycle(5), jobs=10**6)
+        assert seen == started
+        assert fs.members == (3, 5) and fs.exhausted
 
     def test_t_hi_caps_range(self):
         fs = feasible_set(make_cycle(6), t_hi=3)
