@@ -19,6 +19,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
+# largest vertex_count accepted from graph JSON; a larger one is refused
+# before anything is allocated for it
+MAX_VERTEX_COUNT = 10**6
+
 
 class GraphError(ValueError):
     """Raised for malformed graphs or out-of-range generator parameters."""
@@ -125,6 +129,8 @@ class Graph:
         edges = d["edges"]
         if not _is_int(n) or not isinstance(edges, list):
             raise GraphError("'vertex_count' must be an int and 'edges' a list")
+        if n > MAX_VERTEX_COUNT:
+            raise GraphError(f"'vertex_count' {n} exceeds the limit of {MAX_VERTEX_COUNT}")
         pairs = []
         for e in edges:
             if not (isinstance(e, (list, tuple)) and len(e) == 2

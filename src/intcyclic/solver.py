@@ -2,14 +2,17 @@
 
 decide() runs a complete backtracking search over edge colorings.  Edges are
 ordered by BFS from a maximum-degree vertex so the tightest spectrum
-constraints engage early; at every partial assignment each touched vertex
-must still be extendable to a size-d(v) cyclic window (gap analysis on the
-spectrum bitset), branches that cannot use all t colors are cut, the first
-edge is pinned to color 1 (color rotation), and the first color other than 1
-is capped at ceil((t+1)/2) (color reflection; sound for both outcomes, see
-tests).  Budget exhaustion is reported as a timeout outcome, never as
-infeasibility.  With a fixed budget and a single worker, results are
-bit-identical run to run.
+constraints engage early.  The search is an explicit-stack loop with no depth
+limit: each position keeps the bitset of its untried candidate colors and
+takes them lowest first.  A position's candidates are the colors free at both
+endpoints that keep each endpoint's spectrum inside some cyclic window of its
+degree size; these window masks come from allowed() and are cached per
+(spectrum, degree) for the call.  Branches that cannot use all t colors are
+cut, the first edge is pinned to color 1 (color rotation), and the first
+color other than 1 is capped at ceil((t+1)/2) (color reflection; sound for
+both outcomes, see tests).  Budget exhaustion is reported as a timeout
+outcome, never as infeasibility.  With a fixed budget and a single worker,
+results are bit-identical run to run.
 """
 
 from __future__ import annotations
@@ -77,10 +80,6 @@ class ExtremalResult:
         return (self.w_c, self.W_c)
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _search_order(g: Graph) -> list[int]:
     """Edge indices ordered by BFS from a maximum-degree vertex (per
     component), appending each visited vertex's unseen incident edges."""
@@ -98,6 +97,24 @@ def _search_order(g: Graph) -> list[int]:
     return order
 
 
+def allowed(mask: int, d: int, t: int) -> int:
+    """Colors (bit c-1 for color c) that a vertex of degree d with spectrum
+    bitset mask can still take out of t: the union of every size-d cyclic
+    window of [1, t] that contains the mask (d >= 1)."""
+    full = (1 << t) - 1
+    if d >= t or not mask:
+        return full
+    low = (mask & -mask).bit_length() - 1
+    out = 0
+    w = (1 << d) - 1
+    for s in range(low - d + 1, low + 1):  # the windows holding the lowest color
+        r = w << (s % t)
+        win = (r | r >> t) & full
+        if mask & win == mask:
+            out |= win
+    return out
+
+
 def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     """Decide whether the graph admits a cyclic coloring with exactly t
     colors; feasible outcomes carry a validated witness."""
@@ -106,79 +123,66 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     start = time.perf_counter()
     m = g.edge_count
+    if t > m:  # fewer edges than colors: nothing can be surjective
+        return SolveOutcome(INFEASIBLE, t, None, 0, time.perf_counter() - start)
     order = _search_order(g)
     eu = [g.edges[e][0] for e in order]
     ev = [g.edges[e][1] for e in order]
     deg = g.degrees
+    # allowed() results keyed on (spectrum mask, degree), filled on first use
+    windows: dict[int, dict[int, int]] = {d: {} for d in set(deg)}
+    wu = [windows[deg[u]] for u in eu]
+    wv = [windows[deg[v]] for v in ev]
+    full = (1 << t) - 1
+    capped = (1 << ((t + 2) // 2)) - 1  # colors 1..ceil((t+1)/2)
+    tight = m - t  # the first k > tight edges must use at least k - tight colors
     vmask = [0] * g.vertex_count
-    assign = [0] * m
-    cap = (t + 2) // 2  # ceil((t+1)/2)
-    nodes = 0
-    cover_cache: dict[int, int] = {0: 0}
-
-    def cover(mask: int) -> int:
-        c = cover_cache.get(mask)
-        if c is None:
-            bits = []
-            mm, i = mask, 0
-            while mm:
-                if mm & 1:
-                    bits.append(i)
-                mm >>= 1
-                i += 1
-            max_gap = bits[0] + t - bits[-1]
-            for a, b in zip(bits, bits[1:]):
-                if b - a > max_gap:
-                    max_gap = b - a
-            c = t - max_gap + 1
-            cover_cache[mask] = c
-        return c
-
-    def rec(pos: int, used: int, ucount: int, non1: bool) -> bool:
-        nonlocal nodes
-        if t - ucount > m - pos:
-            return False  # too few edges left to use every color
+    cands = [0] * m  # untried candidate colors per position
+    cands[0] = 1  # the first edge is pinned to color 1 (color rotation)
+    used_at = [0] * m  # colors used by the edges before each position
+    bits = [0] * m
+    pos = nodes = 0
+    while True:
+        c = cands[pos]
+        if not c:
+            if pos == 0:
+                return SolveOutcome(INFEASIBLE, t, None, nodes, time.perf_counter() - start)
+            pos -= 1
+            bit = bits[pos]
+            vmask[eu[pos]] ^= bit
+            vmask[ev[pos]] ^= bit
+            continue
+        bit = c & -c
+        cands[pos] = c ^ bit
+        nodes += 1
+        if nodes > budget:
+            return SolveOutcome(TIMEOUT, t, None, nodes, time.perf_counter() - start)
+        used = used_at[pos] | bit
+        if pos >= tight and used.bit_count() < pos + 1 - tight:
+            continue  # too few edges left to use every color (counted as a node)
+        vmask[eu[pos]] |= bit
+        vmask[ev[pos]] |= bit
+        bits[pos] = bit
+        pos += 1
         if pos == m:
-            return True
-        u, v = eu[pos], ev[pos]
-        occupied = vmask[u] | vmask[v]
-        for c in range(1, 2 if pos == 0 else t + 1):
-            bit = 1 << (c - 1)
-            if occupied & bit:
-                continue
-            if not non1 and c != 1:
-                if c > cap:
-                    break  # colors ascend; reflection canonicalizes the rest
-                child_non1 = True
-            else:
-                child_non1 = non1 or c != 1
-            nm_u = vmask[u] | bit
-            if cover(nm_u) > deg[u]:
-                continue
-            nm_v = vmask[v] | bit
-            if cover(nm_v) > deg[v]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExhausted
-            vmask[u] = nm_u
-            vmask[v] = nm_v
-            assign[pos] = c
-            if rec(pos + 1, used | bit, ucount + (0 if used & bit else 1), child_non1):
-                return True
-            vmask[u] = nm_u ^ bit
-            vmask[v] = nm_v ^ bit
-        return False
-
-    try:
-        found = rec(0, 0, 0, False)
-    except _BudgetExhausted:
-        return SolveOutcome(TIMEOUT, t, None, nodes, time.perf_counter() - start)
-    if not found:
-        return SolveOutcome(INFEASIBLE, t, None, nodes, time.perf_counter() - start)
+            break
+        used_at[pos] = used
+        u = eu[pos]
+        v = ev[pos]
+        mu = vmask[u]
+        mv = vmask[v]
+        au = wu[pos].get(mu)
+        if au is None:
+            au = wu[pos][mu] = allowed(mu, deg[u], t)
+        av = wv[pos].get(mv)
+        if av is None:
+            av = wv[pos][mv] = allowed(mv, deg[v], t)
+        # until a color other than 1 is used, cap it at ceil((t+1)/2)
+        # (color reflection); colors are then tried in ascending order
+        cands[pos] = au & av & ~(mu | mv) & (capped if used == 1 else full)
     colors = [0] * m
     for pos, e in enumerate(order):
-        colors[e] = assign[pos]
+        colors[e] = bits[pos].bit_length()
     witness = EdgeColoring(t, tuple(colors))
     check = validate_cyclic(g, witness)
     if not check.valid:  # soundness guard; must never fire

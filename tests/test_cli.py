@@ -194,6 +194,13 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "-g", "/nonexistent.json", "--t", "3")
         assert code == EXPECTED_FORMAT_ERROR and "not found" in err
 
+    def test_huge_vertex_count_is_format_error(self, tmp_path, capsys):
+        # refused before anything is allocated for the vertices
+        g_path = tmp_path / "huge.json"
+        g_path.write_text(json.dumps({"vertex_count": 10**12, "edges": []}))
+        code, stdout, err = run(capsys, "solve", "-g", str(g_path), "--t", "3")
+        assert code == EXPECTED_FORMAT_ERROR and "exceeds" in err and stdout == ""
+
     def test_nonpositive_t_is_usage_error(self, tmp_path, capsys):
         g_path = tmp_path / "c4.json"
         run(capsys, "gen", "cycle", "4", "-o", str(g_path))

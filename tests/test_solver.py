@@ -17,7 +17,7 @@ from intcyclic import (
     validate_cyclic,
 )
 from intcyclic.bounds import parity_obstruction
-from intcyclic.coloring import mod_color
+from intcyclic.coloring import _cyclic_cover_len, mod_color
 from intcyclic.graphs import all_trees_up_to
 from intcyclic.noncolorable import Certificate
 from intcyclic.solver import (
@@ -75,18 +75,34 @@ class TestDecide:
         assert a.nodes_explored == b.nodes_explored
         assert a.witness == b.witness
 
-    # node counts at a fixed budget pin the search's edge order and pruning
-    @pytest.mark.parametrize("g,t,decision,nodes", [
-        (make_complete(5), 7, INFEASIBLE, 629),
-        (make_hypercube(3), 8, FEASIBLE, 196),
-        (make_gdn(4, 4), 10, FEASIBLE, 135),
-        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 987),
-        (make_complete(6), 8, FEASIBLE, 15),
-        (make_tree_hat(make_hub_tree(2, 2)), 5, FEASIBLE, 12),
+    # node counts and witnesses at a fixed budget pin the search's edge
+    # order, color order and pruning
+    @pytest.mark.parametrize("g,t,decision,nodes,colors", [
+        (make_complete(5), 7, INFEASIBLE, 629, None),
+        (make_hypercube(3), 8, FEASIBLE, 196, (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)),
+        (make_gdn(4, 4), 10, FEASIBLE, 135, (1, 2, 3, 4, 8, 9, 10, 5, 6, 7, 3, 4)),
+        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 987, None),
+        (make_complete(6), 8, FEASIBLE, 15,
+         (1, 2, 3, 4, 5, 3, 2, 5, 4, 1, 7, 8, 8, 7, 6)),
+        (make_tree_hat(make_hub_tree(2, 2)), 5, FEASIBLE, 12, (5, 1, 2, 1, 2, 3, 1, 2, 3, 4)),
     ], ids=["K5", "Q3", "G4-4", "K1-2-3", "K6", "hub-tree-hat"])
-    def test_pinned_node_counts(self, g, t, decision, nodes):
+    def test_pinned_node_counts(self, g, t, decision, nodes, colors):
         out = decide(g, t, node_budget=200_000)
         assert (out.decision, out.nodes_explored) == (decision, nodes)
+        assert (out.witness.colors if out.witness else None) == colors
+
+    # far deeper than the interpreter's recursion limit
+    @pytest.mark.parametrize("g,t", [(make_cycle(1200), 3), (make_path(2000), 4)],
+                             ids=["C1200", "P2000"])
+    def test_no_depth_limit(self, g, t):
+        out = decide(g, t)
+        assert out.decision == FEASIBLE
+        assert validate_cyclic(g, out.witness).valid
+
+    def test_more_colors_than_edges_needs_no_search(self):
+        # answered before anything sized by t is built
+        out = decide(make_cycle(5), 10**9)
+        assert (out.decision, out.nodes_explored) == (INFEASIBLE, 0)
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
@@ -128,6 +144,19 @@ class TestDecide:
                 for t in range(1, size + 1):
                     got = decide(g, t).decision == FEASIBLE
                     assert got == oracles.naive_decide(5, g.edges, t), (subset, t)
+
+
+# every (spectrum, degree) pair for small t, against the validator's cover length
+@pytest.mark.parametrize("t", range(1, 10))
+def test_allowed_is_window_extension(t):
+    for mask in range(1 << t):
+        spectrum = {c for c in range(1, t + 1) if mask >> (c - 1) & 1}
+        for d in range(1, t + 1):
+            want = {c for c in range(1, t + 1)
+                    if _cyclic_cover_len(sorted(spectrum | {c}), t) <= d}
+            got = solver.allowed(mask, d, t)
+            assert {c for c in range(1, t + 1) if got >> (c - 1) & 1} == want, (mask, d)
+            assert got >> t == 0
 
 
 class TestSymmetries:
