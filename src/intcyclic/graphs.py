@@ -19,9 +19,11 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-# largest vertex_count accepted from graph JSON; a larger one is refused
-# before anything is allocated for it
+# largest vertex_count accepted from graph JSON, and largest vertex and edge
+# counts a family generator builds; a larger one is refused before anything
+# is allocated for it
 MAX_VERTEX_COUNT = 10**6
+MAX_EDGE_COUNT = 10**6
 
 
 class GraphError(ValueError):
@@ -264,10 +266,19 @@ def metrics(g: Graph) -> GraphMetrics:
 # ---------------------------------------------------------------------------
 # family generators
 
+def _check_size(family: str, vertices: int, edges: int) -> None:
+    """Refuse a family whose closed-form vertex or edge count is over the
+    limits, before any of it is built."""
+    if vertices > MAX_VERTEX_COUNT or edges > MAX_EDGE_COUNT:
+        raise GraphError(f"{family} would have {vertices} vertices and {edges} edges; "
+                         f"the limits are {MAX_VERTEX_COUNT} and {MAX_EDGE_COUNT}")
+
+
 def make_cycle(n: int) -> Graph:
     """Simple cycle on n >= 3 vertices."""
     if n < 3:
         raise GraphError("cycle needs n >= 3")
+    _check_size("cycle", n, n)
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     return Graph(n, tuple(edges))
 
@@ -276,6 +287,7 @@ def make_path(m: int) -> Graph:
     """Simple path on m >= 2 vertices."""
     if m < 2:
         raise GraphError("path needs m >= 2")
+    _check_size("path", m, m - 1)
     return Graph(m, tuple((i, i + 1) for i in range(m - 1)))
 
 
@@ -283,6 +295,7 @@ def make_complete(n: int) -> Graph:
     """Complete graph on n >= 1 vertices."""
     if n < 1:
         raise GraphError("complete graph needs n >= 1")
+    _check_size("complete graph", n, n * (n - 1) // 2)
     return Graph(n, tuple(combinations(range(n), 2)))
 
 
@@ -294,6 +307,7 @@ def make_complete_bipartite(m: int, n: int) -> Graph:
     """
     if m < 1 or n < 1:
         raise GraphError("complete bipartite graph needs m, n >= 1")
+    _check_size("complete bipartite graph", m + n, m * n)
     edges = tuple((i, m + j) for i in range(m) for j in range(n))
     labels = tuple(f"u{i+1}" for i in range(m)) + tuple(f"v{j+1}" for j in range(n))
     return Graph(m + n, edges, labels)
@@ -303,6 +317,7 @@ def make_complete_tripartite(l: int, m: int, n: int) -> Graph:
     """Complete tripartite graph with part sizes l, m, n >= 1 in vertex order."""
     if min(l, m, n) < 1:
         raise GraphError("complete tripartite graph needs l, m, n >= 1")
+    _check_size("complete tripartite graph", l + m + n, l * m + l * n + m * n)
     a = list(range(l))
     b = list(range(l, l + m))
     c = list(range(l + m, l + m + n))
@@ -317,7 +332,11 @@ def make_hypercube(n: int) -> Graph:
     bitstring of i (character j = bit j)."""
     if n < 1:
         raise GraphError("hypercube needs n >= 1")
+    if n >= MAX_VERTEX_COUNT.bit_length():  # 2**n is over the limit; do not build it
+        raise GraphError(f"hypercube of dimension {n} would have more than "
+                         f"{MAX_VERTEX_COUNT} vertices")
     size = 1 << n
+    _check_size("hypercube", size, n * size // 2)
     edges = [(v, v ^ (1 << b)) for v in range(size) for b in range(n) if not v >> b & 1]
     labels = tuple("".join(str(v >> b & 1) for b in range(n)) for v in range(size))
     return Graph(size, tuple(edges), labels)
@@ -332,6 +351,7 @@ def make_gdn(d: int, n: int) -> Graph:
     """
     if d < 2 or n < 3:
         raise GraphError("needs d >= 2 and n >= 3")
+    _check_size("gdn", n * (d - 1), n * (d - 1))
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     labels = [f"v{i+1}" for i in range(n)]
     for i in range(n):
@@ -347,7 +367,9 @@ def make_tree_hat(tree: Graph) -> Graph:
     if not is_tree(tree) or tree.vertex_count < 2:
         raise GraphError("input must be a tree with at least 2 vertices")
     apex = tree.vertex_count
-    edges = list(tree.edges) + [(v, apex) for v in leaves(tree)]
+    hat_leaves = leaves(tree)
+    _check_size("tree hat", apex + 1, tree.edge_count + len(hat_leaves))
+    edges = list(tree.edges) + [(v, apex) for v in hat_leaves]
     labels = None
     if tree.labels is not None:
         labels = tree.labels + ("apex",)
@@ -360,6 +382,7 @@ def make_kstar(n: int, m: int) -> Graph:
     if n < 1 or m < 1:
         raise GraphError("needs n, m >= 1")
     clique = 2 * n + 1
+    _check_size("kstar", clique + 1 + m, clique * n + 1 + m)
     hub = clique
     edges = list(combinations(range(clique), 2))
     edges.append((0, hub))
@@ -374,6 +397,8 @@ def make_hub_tree(hubs: int, leaves_per_hub: int) -> Graph:
     `leaves_per_hub` leaves on each hub."""
     if hubs < 1 or leaves_per_hub < 1:
         raise GraphError("needs hubs, leaves_per_hub >= 1")
+    vertices = 1 + hubs * (1 + leaves_per_hub)
+    _check_size("hub tree", vertices, vertices - 1)
     edges = [(0, 1 + h) for h in range(hubs)]
     nxt = 1 + hubs
     for h in range(hubs):

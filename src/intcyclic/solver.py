@@ -13,6 +13,12 @@ color other than 1 is capped at ceil((t+1)/2) (color reflection; sound for
 both outcomes, see tests).  Budget exhaustion is reported as a timeout
 outcome, never as infeasibility.  With a fixed budget and a single worker,
 results are bit-identical run to run.
+
+feasible_set() and certify_noncolorable() settle the color counts of the
+bounded range through one planner, _plan(): a count the parity obstruction
+excludes (an Eulerian graph with an odd edge count and an even t) is recorded
+as infeasible with source "parity" and never searched; every other count is
+decided by decide() and recorded with source "search" and its node count.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import bounds as bounds_mod
 from . import noncolorable as nc
@@ -33,6 +39,9 @@ DEFAULT_NODE_BUDGET = 100_000_000
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
+
+SEARCH = "search"  # sources of a per-t decision
+PARITY = "parity"
 
 
 @dataclass(frozen=True)
@@ -52,21 +61,52 @@ class SolveOutcome:
 
 
 @dataclass(frozen=True)
+class TDecision:
+    """How one color count was settled: by a search (source "search", with
+    its node count) or by a theorem whose premises were recomputed from the
+    graph (source "parity", 0 nodes)."""
+    t: int
+    decision: str  # feasible | infeasible | timeout
+    source: str  # search | parity
+    nodes_explored: int
+
+    def to_dict(self) -> dict:
+        return {"t": self.t, "decision": self.decision, "source": self.source,
+                "nodes_explored": self.nodes_explored}
+
+
+@dataclass(frozen=True)
 class FeasibleSet:
     graph_digest: str
     t_lo: int
     t_hi: int
-    members: tuple[int, ...]
+    decisions: tuple[TDecision, ...]  # one per t in [t_lo, t_hi], ascending
     witnesses: dict[int, EdgeColoring] = field(compare=False)
-    exhausted: bool = True
-    nodes_explored: int = 0
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return tuple(d.t for d in self.decisions if d.decision == FEASIBLE)
+
+    @property
+    def timed_out(self) -> tuple[int, ...]:
+        return tuple(d.t for d in self.decisions if d.decision == TIMEOUT)
+
+    @property
+    def exhausted(self) -> bool:
+        return not self.timed_out
+
+    @property
+    def nodes_explored(self) -> int:
+        return sum(d.nodes_explored for d in self.decisions)
 
     def to_dict(self) -> dict:
         return {"graph": self.graph_digest,
                 "range": [self.t_lo, self.t_hi],
                 "members": list(self.members),
                 "exhausted": self.exhausted,
+                "timed_out": list(self.timed_out),
                 "nodes_explored": self.nodes_explored,
+                "decisions": [d.to_dict() for d in self.decisions],
                 "witnesses": {str(t): w.to_dict() for t, w in sorted(self.witnesses.items())}}
 
 
@@ -206,34 +246,44 @@ def _decide_task(args: tuple[Graph, int, Optional[int]]) -> SolveOutcome:
     return decide(g, t, budget)
 
 
-def feasible_set(g: Graph, t_hi: Optional[int] = None,
-                 node_budget: Optional[int] = None, jobs: int = 1) -> FeasibleSet:
-    """Decide every color count in the bounded range; exhausted is False when
-    any single decision timed out.  At most min(jobs, number of t values,
-    CPU count) worker processes run; with one, the decisions run in-process."""
-    lo, hi = search_range(g, t_hi)
-    ts = list(range(lo, hi + 1))
-    workers = min(jobs, len(ts), os.cpu_count() or 1)
+def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
+          ) -> Iterator[tuple[TDecision, Optional[EdgeColoring]]]:
+    """Settle each t in [lo, hi] in ascending order, yielding its record and
+    its witness (None unless feasible).  A t the parity obstruction excludes is
+    infeasible with no search; every other t goes to decide().  At most
+    min(jobs, searched t values, CPU count) worker processes run; with one,
+    each t is searched in-process only when the caller asks for its record,
+    so a caller may stop early."""
+    parity = bounds_mod.parity_obstruction(g)
+    ts = range(lo, hi + 1)
+    searched = [t for t in ts if not parity.excludes(t)]
+    workers = min(jobs, len(searched), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_decide_task, [(g, t, node_budget) for t in ts]))
+            outcomes = iter(list(pool.map(_decide_task,
+                                          [(g, t, node_budget) for t in searched])))
     else:
-        outcomes = [decide(g, t, node_budget) for t in ts]
-    members = []
+        outcomes = (decide(g, t, node_budget) for t in searched)
+    for t in ts:
+        if parity.excludes(t):
+            yield TDecision(t, INFEASIBLE, PARITY, 0), None
+        else:
+            out = next(outcomes)
+            yield TDecision(t, out.decision, SEARCH, out.nodes_explored), out.witness
+
+
+def feasible_set(g: Graph, t_hi: Optional[int] = None,
+                 node_budget: Optional[int] = None, jobs: int = 1) -> FeasibleSet:
+    """Settle every color count in the bounded range (see _plan); the set is
+    exhausted unless some search timed out."""
+    lo, hi = search_range(g, t_hi)
+    decisions = []
     witnesses = {}
-    for out in outcomes:
-        if out.decision == FEASIBLE:
-            members.append(out.t)
-            witnesses[out.t] = out.witness
-    return FeasibleSet(
-        graph_digest=g.digest(),
-        t_lo=lo,
-        t_hi=hi,
-        members=tuple(members),
-        witnesses=witnesses,
-        exhausted=all(out.decision != TIMEOUT for out in outcomes),
-        nodes_explored=sum(out.nodes_explored for out in outcomes),
-    )
+    for rec, witness in _plan(g, lo, hi, node_budget, jobs):
+        decisions.append(rec)
+        if witness is not None:
+            witnesses[rec.t] = witness
+    return FeasibleSet(g.digest(), lo, hi, tuple(decisions), witnesses)
 
 
 def extremal(g: Graph, node_budget: Optional[int] = None, jobs: int = 1) -> ExtremalResult:
@@ -249,26 +299,24 @@ def certify_noncolorable(g: Graph, node_budget: Optional[int] = None
                          ) -> EdgeColoring | nc.Certificate:
     """Either a witness coloring (the graph is colorable), or a certificate
     of non-colorability: an analytic rule with machine-verified premises when
-    one matches, otherwise the exhaustive transcript over the bounded range.
-    Timeouts yield a certificate explicitly marked inconclusive."""
+    one matches, otherwise the per-t transcript of the planner over the
+    bounded range.  Timeouts yield a certificate explicitly marked
+    inconclusive."""
     analytic = nc.match_analytic(g)
     if analytic is not None:
         return analytic
     lo, hi = search_range(g)
     transcripts = []
-    timed_out = False
-    for t in range(lo, hi + 1):
-        out = decide(g, t, node_budget)
-        transcripts.append({"t": t, "decision": out.decision,
-                            "nodes_explored": out.nodes_explored})
-        if out.decision == FEASIBLE:
-            return out.witness
-        if out.decision == TIMEOUT:
-            timed_out = True
+    for rec, witness in _plan(g, lo, hi, node_budget):
+        if witness is not None:
+            return witness
+        transcripts.append(rec.to_dict())
+    timed_out = any(tr["decision"] == TIMEOUT for tr in transcripts)
     premises = (
         nc.Premise("searched-range", hi - lo + 1 if hi >= lo else 0,
-                   f"all t in [{lo}, {hi}] decided; smaller t fail vertex-degree "
-                   "properness, larger t exceed the best applicable upper bound",
+                   f"all t in [{lo}, {hi}] decided by search or parity; smaller t "
+                   "fail vertex-degree properness, larger t exceed the best "
+                   "applicable upper bound",
                    not timed_out),
     )
     return nc.Certificate(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from intcyclic.cli import main
+from intcyclic.cli import build_parser, main
 from intcyclic.graphs import Graph
 
 EXPECTED_FORMAT_ERROR = 2
@@ -40,6 +40,13 @@ class TestGen:
     def test_unknown_family(self, capsys):
         code, _, _ = run(capsys, "gen", "petersen", "1")
         assert code == EXPECTED_FORMAT_ERROR
+
+    # without the size cap each of these would build about a million
+    # vertices or edges (some 100 MB) before any error
+    @pytest.mark.parametrize("family,param", [("cycle", "1000001"), ("complete", "1500")])
+    def test_oversized_family_is_usage_error(self, capsys, family, param):
+        code, stdout, err = run(capsys, "gen", family, param)
+        assert code == EXPECTED_FORMAT_ERROR and "limits" in err and stdout == ""
 
     def test_tree_hat_from_file(self, tmp_path, capsys):
         tree = tmp_path / "t.json"
@@ -172,6 +179,23 @@ class TestSolve:
         _, out1, _ = run(capsys, "solve", "-g", str(g_path), "--t", t)
         _, out2, _ = run(capsys, "solve", "-g", str(g_path), "--t", t)
         assert out1 == out2
+
+    def test_consecutive_calls_share_one_parser(self, tmp_path, capsys):
+        g_path = str(tmp_path / "c5.json")
+        assert run(capsys, "gen", "cycle", "5", "-o", g_path)[0] == 0
+        code, stdout, _ = run(capsys, "solve", "-g", g_path, "--t", "5", "--budget", "1")
+        assert code == 3 and json.loads(stdout)["decision"] == "timeout"
+        code, stdout, _ = run(capsys, "solve", "-g", g_path, "--feasible-set")
+        data = json.loads(stdout)
+        assert code == 0 and data["members"] == [3, 5] and data["timed_out"] == []
+        assert [d["source"] for d in data["decisions"]] == ["parity", "search"] * 2
+        code, stdout, err = run(capsys, "solve", "-g", g_path)  # needs --t or --feasible-set
+        assert code == EXPECTED_FORMAT_ERROR and stdout == "" and "usage" in err
+        code, stdout, _ = run(capsys, "solve", "-g", g_path, "--t", "5")  # no budget left over
+        assert code == 0 and json.loads(stdout)["decision"] == "feasible"
+        code, stdout, _ = run(capsys, "solve", "-g", g_path, "--t", "4")
+        assert code == 1 and json.loads(stdout)["decision"] == "infeasible"
+        assert build_parser() is build_parser()
 
     def test_budget_exhausted_exit(self, tmp_path, capsys):
         g_path = tmp_path / "k7.json"

@@ -19,6 +19,7 @@ from intcyclic import (
     make_tree_hat,
     metrics,
 )
+from intcyclic import graphs
 from intcyclic.graphs import is_tree, leaves
 
 import oracles
@@ -179,6 +180,40 @@ class TestGenerators:
         assert make_complete_tripartite(2, 3, 4).edge_count == 2 * 3 + 2 * 4 + 3 * 4
         assert make_hypercube(4).edge_count == 4 * 2 ** 3
         assert make_gdn(5, 6).edge_count == 6 * 4
+
+
+# small instances of every family: the size check must use their exact counts
+SIZED = [(make_cycle, (5,)), (make_path, (4,)), (make_complete, (5,)),
+         (make_complete_bipartite, (2, 3)), (make_complete_tripartite, (1, 2, 3)),
+         (make_hypercube, (3,)), (make_gdn, (4, 5)), (make_kstar, (2, 3)),
+         (make_hub_tree, (3, 2)), (make_tree_hat, (make_hub_tree(2, 2),))]
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("build,args", SIZED, ids=lambda x: getattr(x, "__name__", ""))
+    def test_limits_are_exact_counts(self, monkeypatch, build, args):
+        g = build(*args)
+        for name, count in (("MAX_VERTEX_COUNT", g.vertex_count),
+                            ("MAX_EDGE_COUNT", g.edge_count)):
+            limit = getattr(graphs, name)
+            monkeypatch.setattr(graphs, name, count)
+            assert build(*args) == g  # at the limit
+            monkeypatch.setattr(graphs, name, count - 1)
+            with pytest.raises(GraphError, match="vertices"):
+                build(*args)
+            monkeypatch.setattr(graphs, name, limit)
+
+    # each just over a limit: without the cap, about a million vertices or
+    # edges (some 100 MB) would be built before any error
+    @pytest.mark.parametrize("build,args", [
+        (make_cycle, (1_000_001,)), (make_path, (1_000_002,)), (make_complete, (1500,)),
+        (make_complete_bipartite, (1001, 1000)), (make_complete_tripartite, (600, 600, 600)),
+        (make_hypercube, (17,)), (make_gdn, (3, 500_001)), (make_kstar, (1, 1_000_000)),
+        (make_hub_tree, (1000, 1000)),
+    ], ids=lambda x: getattr(x, "__name__", ""))
+    def test_oversized_family_refused(self, build, args):
+        with pytest.raises(GraphError, match="limits"):
+            build(*args)
 
 
 class TestMetrics:

@@ -213,7 +213,8 @@ class TestFeasibleSet:
         g = make_cycle(6)
         assert feasible_set(g).members == feasible_set(g, jobs=2).members
 
-    # C5 has 4 t values to decide; a fake pool records how many workers start
+    # K4 has 4 t values to search (3-6; it is not Eulerian, so parity excludes
+    # none); a fake pool records how many workers start
     @pytest.mark.parametrize("cpus,started", [(3, [3]), (64, [4]), (1, []), (None, [])])
     def test_worker_count_bounded(self, monkeypatch, cpus, started):
         seen = []
@@ -233,9 +234,9 @@ class TestFeasibleSet:
 
         monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
-        fs = feasible_set(make_cycle(5), jobs=10**6)
+        fs = feasible_set(make_complete(4), jobs=10**6)
         assert seen == started
-        assert fs.members == (3, 5) and fs.exhausted
+        assert fs.members == (3, 4) and fs.exhausted
 
     def test_t_hi_caps_range(self):
         fs = feasible_set(make_cycle(6), t_hi=3)
@@ -305,6 +306,78 @@ def test_seven_clique_gap():
     assert parity_obstruction(k7).excludes(8)
 
 
+@pytest.fixture(scope="module")
+def eulerian_odd_corpus():
+    """Every connected graph on 3-6 vertices with all degrees even and an
+    odd edge count (up to isomorphism), then the odd cycles C7-C11."""
+    from itertools import combinations
+    from intcyclic import Graph
+    from intcyclic.graphs import is_connected
+    seen = set()
+    corpus = []
+    for n in range(3, 7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1, 1 << len(pairs)):
+            edges = tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
+            if len(edges) % 2 == 0:
+                continue
+            deg = [0] * n
+            for u, v in edges:
+                deg[u] += 1
+                deg[v] += 1
+            if any(d == 0 or d % 2 for d in deg):
+                continue
+            g = Graph(n, edges)
+            key = oracles.canonical_edge_set(n, edges)
+            if is_connected(g) and key not in seen:
+                seen.add(key)
+                corpus.append(g)
+    return corpus + [make_cycle(n) for n in range(7, 12, 2)]
+
+
+class TestParityPlanner:
+    def test_parity_is_sound_against_search(self, eulerian_odd_corpus):
+        assert len(eulerian_odd_corpus) == 9  # 6 graphs on 3-6 vertices, C7, C9, C11
+        for g in eulerian_odd_corpus:
+            assert parity_obstruction(g).excludes_even
+            lo, hi = solver.search_range(g)
+            for t in range(lo + lo % 2, hi + 1, 2):
+                assert decide(g, t).decision == INFEASIBLE, (g.edges, t)
+
+    def test_excluded_t_is_never_searched(self, monkeypatch):
+        searched = []
+
+        def recording_decide(g, t, node_budget=None):
+            searched.append(t)
+            return decide(g, t, node_budget)
+
+        monkeypatch.setattr(solver, "decide", recording_decide)
+        fs = feasible_set(make_complete(7), node_budget=20_000)
+        for d in fs.decisions:
+            if d.t % 2 == 0:
+                assert (d.decision, d.source, d.nodes_explored) == (INFEASIBLE, "parity", 0)
+            else:
+                assert d.source == "search" and d.nodes_explored > 0
+        assert searched == [t for t in range(fs.t_lo, fs.t_hi + 1) if t % 2]
+        assert fs.members == (7, 9) and fs.timed_out == (11, 13, 15)
+        assert fs.nodes_explored == sum(d.nodes_explored for d in fs.decisions)
+        d = fs.to_dict()
+        assert d["decisions"] == [r.to_dict() for r in fs.decisions]
+        assert d["timed_out"] == [11, 13, 15] and not d["exhausted"]
+        assert "elapsed" not in str(d)
+
+    def test_same_answers_as_searching_every_t(self, eulerian_odd_corpus):
+        corpus = eulerian_odd_corpus[:6] + [
+            make_complete_tripartite(1, 1, 3), make_cycle(6), make_complete(4),
+            make_complete_bipartite(2, 3)]
+        for g in corpus:
+            fs = feasible_set(g)
+            outs = [decide(g, t) for t in range(fs.t_lo, fs.t_hi + 1)]
+            assert fs.members == tuple(o.t for o in outs if o.decision == FEASIBLE)
+            assert fs.exhausted == all(o.decision != TIMEOUT for o in outs)
+            assert fs.exhausted
+
+
 class TestCertify:
     def test_cycle_gets_witness(self):
         res = certify_noncolorable(make_cycle(6))
@@ -340,6 +413,16 @@ class TestCertify:
         assert isinstance(res, Certificate)
         assert res.inconclusive and not res.passed
         assert all(tr["decision"] == TIMEOUT for tr in res.transcripts)
+
+    def test_parity_excluded_t_in_transcripts(self):
+        res = certify_noncolorable(make_complete(7), node_budget=1)
+        assert isinstance(res, Certificate) and res.inconclusive
+        for tr in res.transcripts:
+            if tr["t"] % 2 == 0:
+                assert tr == {"t": tr["t"], "decision": INFEASIBLE, "source": "parity",
+                              "nodes_explored": 0}
+            else:
+                assert (tr["decision"], tr["source"]) == (TIMEOUT, "search")
 
     def test_witness_wins_over_earlier_timeouts(self):
         # t=6 times out under a tiny budget but t=7 is found feasible anyway
