@@ -8,10 +8,9 @@ report() and the bound_* functions read the same rows.  The edge count
 always caps the number of usable colors, so best_upper is finite for every
 graph.
 
-The shortest-path bound and the tree metric share one dynamic program for
-W, the largest sum of (degree - 1) over the vertices of a shortest path:
-the bound is 1 + 2W, and since LP(u, v) = 1 + sum(deg - 1) over the u-v
-path of a tree, tree_m is 1 + W in O(|V| |E|) time.
+The shortest-path bound 1 + 2W and tree_m = 1 + W (LP(u, v) is 1 plus
+sum(deg - 1) over the u-v path of a tree) read W, the heaviest shortest path,
+from the cached all-sources sweep that also gives the diameter.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, GraphError, GraphMetrics, bfs, is_tree, metrics
+from .graphs import Graph, GraphError, GraphMetrics, bfs, heaviest_shortest_path, is_tree, metrics
 
 
 @dataclass(frozen=True)
@@ -83,23 +82,6 @@ class BoundReport:
         return "\n".join(rows)
 
 
-def _heaviest_shortest_path(g: Graph) -> int:
-    """W: the max over shortest paths between distinct vertices of the sum
-    of (degree - 1) over the path's vertices, by dynamic programming over
-    each BFS level structure; 0 below two vertices."""
-    weight = [d - 1 for d in g.degrees]
-    best = 0
-    for s in range(g.vertex_count):
-        dist = [-1] * g.vertex_count
-        order = bfs(g, s, dist)
-        f = [0] * g.vertex_count
-        f[s] = weight[s]
-        for v in order[1:]:
-            f[v] = weight[v] + max(f[u] for u in g.adjacency[v] if dist[u] == dist[v] - 1)
-            best = max(best, f[v])
-    return best
-
-
 # name -> (premises, value); a value is computed only when every premise holds
 _BOUNDS = {
     "triangle-free-order": (("connected", "triangle-free", "at-least-2-vertices"),
@@ -108,7 +90,7 @@ _BOUNDS = {
                       lambda g, m: 2 * g.vertex_count + m.max_degree
                       - (4 if g.vertex_count == 2 else 5)),
     "shortest-path-degree-sum": (("connected", "at-least-2-vertices"),
-                                 lambda g, m: 1 + 2 * _heaviest_shortest_path(g)),
+                                 lambda g, m: 1 + 2 * heaviest_shortest_path(g)),
     "bipartite-diameter": (("connected", "bipartite"),
                            lambda g, m: 1 + 2 * m.diameter * (m.max_degree - 1)),
     "edge-count": ((), lambda g, m: g.edge_count),
@@ -205,7 +187,7 @@ def tree_m(tree: Graph) -> int:
     this is 1 + W for the W of the shortest-path bound."""
     if not is_tree(tree) or tree.vertex_count < 2:
         raise GraphError("input must be a tree with at least 2 vertices")
-    return 1 + _heaviest_shortest_path(tree)
+    return 1 + heaviest_shortest_path(tree)
 
 
 def tree_feasible_set(tree: Graph) -> tuple[int, ...]:

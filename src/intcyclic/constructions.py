@@ -14,6 +14,8 @@ from typing import Optional
 from .coloring import EdgeColoring, mod_color, spectrum, validate_cyclic, validate_interval
 from .graphs import (
     Graph,
+    _check_hypercube_size,
+    _check_size,
     make_complete,
     make_complete_bipartite,
     make_gdn,
@@ -198,6 +200,7 @@ def color_tripartite(l: int, m: int, n: int) -> tuple[Graph, EdgeColoring]:
     """
     if min(l, m, n) < 1:
         raise ValueError("needs l, m, n >= 1")
+    _check_size("complete tripartite graph", l + m + n, l * m + l * n + m * n)
     l, m, n = sorted((l, m, n))
     t = l + m + n
     labels = tuple(f"u{i}" for i in range(1, m + 1)) \
@@ -245,6 +248,7 @@ def hypercube_base_interval(n: int) -> tuple[Graph, EdgeColoring, tuple[int, ...
     """
     if n < 2:
         raise ValueError("needs n >= 2; a single edge cannot realize two spectrum classes")
+    _check_hypercube_size(n)  # before the doubling loop builds any color map
     # base: the 4-cycle colored 1,2,3,2
     cmap: dict[tuple[int, int], int] = {(0, 1): 1, (1, 3): 2, (2, 3): 3, (0, 2): 2}
     classes = [0, 0, 1, 1]
@@ -303,6 +307,7 @@ def color_hypercube_cyclic(n: int) -> tuple[Graph, EdgeColoring]:
     """
     if n < 2:
         raise ValueError("needs n >= 2")
+    _check_hypercube_size(n)  # before the (n-2)-cube base is built
     if n == 2:
         g = make_hypercube(2)
         return g, _coloring_from_map(g, 4, {(0, 1): 1, (1, 3): 2, (2, 3): 3, (0, 2): 4})

@@ -4,10 +4,11 @@ Vertices are 0-based indices.  Edges are stored as (u, v) pairs with u < v,
 sorted lexicographically; that sorted order is the canonical index space
 every edge-coloring in this package refers to.
 
-Every graph walk goes through one helper, bfs(g, src, dist): it returns the
-vertices in visit order and fills a distance array the caller owns.
-metrics(g) is computed once per Graph object and cached on it, so repeated
-calls from the bounds, the solver and the certificates cost nothing.
+Single-source walks go through one helper, bfs(g, src, dist).  The
+all-pairs facts, diameter() and heaviest_shortest_path(), come from one
+BFS-per-source sweep; it and metrics(g) are computed once per Graph object
+and cached on it, so repeated calls from the bounds, the solver and the
+certificates cost nothing.  enumerate_trees(n) keeps no memo.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 # largest vertex_count accepted from graph JSON, and largest vertex and edge
 # counts a family generator builds; a larger one is refused before anything
@@ -102,6 +103,39 @@ class Graph:
             is_bipartite=is_bipartite(self),
             edge_count=self.edge_count,
         )
+
+    @cached_property
+    def _sweep(self) -> tuple[Optional[int], int]:
+        # one BFS per source gives its eccentricity and runs the W dynamic
+        # program: f[v], the heaviest shortest source-v path, is final once
+        # every vertex of the level above v has been dequeued
+        n = self.vertex_count
+        adjacency = self.adjacency
+        weight = [d - 1 for d in self.degrees]
+        connected = n > 0
+        diam = heaviest = 0
+        for s in range(n):
+            dist = [-1] * n
+            f = [0] * n
+            dist[s] = 0
+            f[s] = weight[s]
+            order = [s]
+            for u in order:  # the list grows while it is read: a FIFO queue
+                du = dist[u] + 1
+                fu = f[u]
+                for v in adjacency[u]:
+                    if dist[v] < 0:
+                        dist[v] = du
+                        f[v] = fu + weight[v]
+                        order.append(v)
+                    elif dist[v] == du and fu + weight[v] > f[v]:
+                        f[v] = fu + weight[v]
+            connected = connected and len(order) == n
+            diam = max(diam, dist[order[-1]])  # the last visit is the farthest
+            # f[s] alone is no path, but never exceeds a neighbor's f (a lone
+            # source weighs -1); unreached vertices keep f = 0, W's floor
+            heaviest = max(heaviest, max(f))
+        return (diam if connected else None), heaviest
 
     @property
     def edge_count(self) -> int:
@@ -247,14 +281,15 @@ def leaves(g: Graph) -> tuple[int, ...]:
 
 
 def diameter(g: Graph) -> Optional[int]:
-    """Exact diameter via all-pairs BFS; None when disconnected or empty."""
-    if not is_connected(g):
-        return None
-    best = 0
-    for s in range(g.vertex_count):
-        dist = [-1] * g.vertex_count
-        best = max(best, dist[bfs(g, s, dist)[-1]])  # the last visit is the farthest
-    return best
+    """Exact diameter, the largest eccentricity of the all-sources sweep;
+    None when disconnected or empty."""
+    return g._sweep[0]
+
+
+def heaviest_shortest_path(g: Graph) -> int:
+    """W: the largest sum of (degree - 1) over the vertices of a shortest
+    path between distinct vertices; 0 below two vertices."""
+    return g._sweep[1]
 
 
 def metrics(g: Graph) -> GraphMetrics:
@@ -272,6 +307,14 @@ def _check_size(family: str, vertices: int, edges: int) -> None:
     if vertices > MAX_VERTEX_COUNT or edges > MAX_EDGE_COUNT:
         raise GraphError(f"{family} would have {vertices} vertices and {edges} edges; "
                          f"the limits are {MAX_VERTEX_COUNT} and {MAX_EDGE_COUNT}")
+
+
+def _check_hypercube_size(n: int) -> None:
+    """Refuse an n-cube over the limits, without computing 2**n for a huge n."""
+    if n >= MAX_VERTEX_COUNT.bit_length():  # 2**n is over the limit
+        raise GraphError(f"hypercube of dimension {n} would have more than "
+                         f"{MAX_VERTEX_COUNT} vertices")
+    _check_size("hypercube", 1 << n, n * (1 << n) // 2)
 
 
 def make_cycle(n: int) -> Graph:
@@ -332,11 +375,8 @@ def make_hypercube(n: int) -> Graph:
     bitstring of i (character j = bit j)."""
     if n < 1:
         raise GraphError("hypercube needs n >= 1")
-    if n >= MAX_VERTEX_COUNT.bit_length():  # 2**n is over the limit; do not build it
-        raise GraphError(f"hypercube of dimension {n} would have more than "
-                         f"{MAX_VERTEX_COUNT} vertices")
+    _check_hypercube_size(n)
     size = 1 << n
-    _check_size("hypercube", size, n * size // 2)
     edges = [(v, v ^ (1 << b)) for v in range(size) for b in range(n) if not v >> b & 1]
     labels = tuple("".join(str(v >> b & 1) for b in range(n)) for v in range(size))
     return Graph(size, tuple(edges), labels)
@@ -411,65 +451,31 @@ def make_hub_tree(hubs: int, leaves_per_hub: int) -> Graph:
 # ---------------------------------------------------------------------------
 # deterministic tree enumeration (corpus machinery)
 
-def _tree_from_pruefer(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]:
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    for x in seq:
-        j = next(v for v in range(n) if degree[v] == 1)
-        edges.append((min(j, x), max(j, x)))
-        degree[j] -= 1
-        degree[x] -= 1
-    u = degree.index(1)
-    v = degree.index(1, u + 1)
-    edges.append((u, v))
-    return tuple(sorted(edges))
+def _next_rooted(seq: list[int], p: int) -> None:
+    """Beyer-Hedetniemi step, in place: seq[p:] becomes repeated copies of
+    the subtree rooted at the parent of vertex p, starting with that parent."""
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    for i in range(p, len(seq)):
+        seq[i] = seq[i - p + q]
 
 
-def _tree_canonical_code(n: int, edges: Sequence[tuple[int, int]]) -> str:
-    """AHU canonical string of a free tree, rooted at its center(s)."""
-    if n == 1:
-        return "()"
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    # peel leaves to find the 1- or 2-vertex center
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] == 1]
-    removed = 0
-    alive = [True] * n
-    while n - removed > 2:
-        nxt = []
-        for v in layer:
-            alive[v] = False
-            removed += 1
-            for w in adj[v]:
-                if alive[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centers = [v for v in range(n) if alive[v]]
-
-    def code(root: int, parent: int) -> str:
-        subs = sorted(code(w, root) for w in adj[root] if w != parent)
-        return "(" + "".join(subs) + ")"
-
-    return min(code(c, -1) for c in centers)
-
-
-_TREE_CACHE: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
+def _second_child(seq: list[int]) -> int:
+    """Position of the root's second child in a level sequence (its length
+    when the root has one child): the first subtree fills seq[1:m]."""
+    return next((i for i in range(2, len(seq)) if seq[i] == 1), len(seq))
 
 
 def enumerate_trees(vertex_count: int) -> Iterator[Graph]:
     """All trees on exactly `vertex_count` vertices, one per isomorphism
     class, in a deterministic order.
 
-    Enumerates labeled trees from Pruefer sequences and keeps the first
-    representative of each canonical code; results are memoized since the
-    labeled enumeration grows as n^(n-2).
+    Wright, Richmond, Odlyzko and McKay (SIAM J. Comput. 15, 1986): walk
+    rooted level sequences in Beyer-Hedetniemi order from the path rooted at
+    its center, keeping those whose first subtree is no larger than the rest
+    by (height, size, sequence), and jump past an invalid first subtree.  Vertex i is
+    position i of the sequence; its parent is the last vertex one level up.
     """
     n = vertex_count
     if n < 1:
@@ -477,32 +483,34 @@ def enumerate_trees(vertex_count: int) -> Iterator[Graph]:
     if n == 1:
         yield Graph(1, ())
         return
-    if n == 2:
-        yield Graph(2, ((0, 1),))
-        return
-    if n not in _TREE_CACHE:
-        seen: dict[str, tuple[tuple[int, int], ...]] = {}
-        for seq in _pruefer_sequences(n):
-            edges = _tree_from_pruefer(seq, n)
-            code = _tree_canonical_code(n, edges)
-            if code not in seen:
-                seen[code] = edges
-        _TREE_CACHE[n] = tuple(seen[code] for code in sorted(seen))
-    for edges in _TREE_CACHE[n]:
-        yield Graph(n, edges)
-
-
-def _pruefer_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    seq = [0] * (n - 2)
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
-        yield tuple(seq)
-        i = n - 3
-        while i >= 0 and seq[i] == n - 1:
-            seq[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        seq[i] += 1
+        m = _second_child(seq)
+        left = [x - 1 for x in seq[1:m]]
+        rest = [0] + seq[m:]
+        left_key, rest_key = (max(left), len(left)), (max(rest), len(rest))
+        if left_key < rest_key or left_key == rest_key and left <= rest:
+            last = [0] * n  # last[d]: the latest vertex seen at level d
+            edges = []
+            for i in range(1, n):
+                d = seq[i]
+                edges.append((last[d - 1], i))
+                last[d] = i
+            yield Graph(n, tuple(edges))
+            p = n - 1
+            while seq[p] == 1:
+                p -= 1
+            if p == 0:
+                return
+            _next_rooted(seq, p)
+        else:
+            # no rooted tree with this first subtree is valid; skip them all
+            p = m - 1
+            deep = seq[p] > 2
+            _next_rooted(seq, p)
+            if deep:  # the rest restarts as a path one level taller than the first subtree
+                h = max(seq[1:_second_child(seq)])
+                seq[n - h:] = range(1, h + 1)
 
 
 def all_trees_up_to(max_vertices: int, min_vertices: int = 1) -> Iterator[Graph]:

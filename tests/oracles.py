@@ -3,8 +3,9 @@
 Everything here is deliberately naive and shares no code path with the
 package: diameters via Floyd-Warshall, bipartiteness by exhaustive
 2-coloring, cyclic-interval membership by rotation scan, coloring decisions
-by full enumeration, path metrics via the degree-sum identity, and tree
-canonicalization by trying every vertex permutation.
+by full enumeration, path metrics via the degree-sum identity, heaviest
+shortest paths by listing every shortest path, and tree canonicalization by
+trying every vertex permutation (or, for larger trees, every root).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from itertools import permutations, product
 INF = float("inf")
 
 
-def fw_diameter(n, edges):
-    """Floyd-Warshall diameter; INF when disconnected."""
+def fw_distances(n, edges):
+    """Floyd-Warshall all-pairs distance matrix; INF between components."""
     dist = [[0 if i == j else INF for j in range(n)] for i in range(n)]
     for u, v in edges:
         dist[u][v] = dist[v][u] = 1
@@ -27,7 +28,41 @@ def fw_diameter(n, edges):
             for j in range(n):
                 if dik + dist[k][j] < dist[i][j]:
                     dist[i][j] = dik + dist[k][j]
+    return dist
+
+
+def fw_diameter(n, edges):
+    """Floyd-Warshall diameter; INF when disconnected."""
+    dist = fw_distances(n, edges)
     return max(dist[i][j] for i in range(n) for j in range(n)) if n else INF
+
+
+def heaviest_shortest_path(n, edges):
+    """W by listing every shortest path between every two distinct vertices
+    and summing (degree - 1) over its vertices; 0 when there is no such
+    path."""
+    dist = fw_distances(n, edges)
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def paths(x, v):  # every shortest x-v path, as a vertex list
+        if x == v:
+            yield [v]
+            return
+        for y in adj[x]:
+            if dist[y][v] == dist[x][v] - 1:
+                for rest in paths(y, v):
+                    yield [x] + rest
+
+    best = 0
+    for u in range(n):
+        for v in range(n):
+            if u != v and dist[u][v] != INF:
+                for path in paths(u, v):
+                    best = max(best, sum(len(adj[x]) - 1 for x in path))
+    return best
 
 
 def two_colorable(n, edges):
@@ -152,3 +187,17 @@ def all_trees_by_subsets(n):
         if union_find_components(n, subset) == 1:
             seen.add(canonical_edge_set(n, subset))
     return sorted(seen)
+
+
+def tree_code(n, edges):
+    """Isomorphism invariant of a free tree: the least nested-parentheses
+    code of the tree rooted at each vertex in turn (complete for trees)."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def code(x, parent):
+        return "(" + "".join(sorted(code(y, x) for y in adj[x] if y != parent)) + ")"
+
+    return min(code(r, -1) for r in range(n))

@@ -88,6 +88,31 @@ class TestUpperBounds:
         assert bound_bipartite_diam(make_complete(3)) is None
 
 
+def test_atlas_bounds_are_sound(atlas):
+    """Every connected graph on 2-6 vertices, every t in [1, |E|] decided by
+    search with no bound consulted: the largest usable t is within every
+    applicable bound, parity excludes no usable t, and the search agrees
+    with full enumeration where t^|E| is small."""
+    from intcyclic.solver import FEASIBLE, TIMEOUT, decide
+    graphs_checked = 0
+    for g in atlas:
+        if not 2 <= g.vertex_count <= 6 or metrics(g).components != 1:
+            continue
+        graphs_checked += 1
+        outcomes = {t: decide(g, t).decision for t in range(1, g.edge_count + 1)}
+        assert TIMEOUT not in outcomes.values()
+        usable = [t for t, d in outcomes.items() if d == FEASIBLE]
+        for entry in report(g).entries:
+            if entry.applicable:
+                assert max(usable) <= entry.value, (g.edges, entry.name)
+        parity = parity_obstruction(g)
+        assert not any(parity.excludes(t) for t in usable), g.edges
+        for t, d in outcomes.items():
+            if t ** g.edge_count <= 1000:
+                assert (d == FEASIBLE) == oracles.naive_decide(g.vertex_count, g.edges, t)
+    assert graphs_checked == 142
+
+
 class TestParity:
     def test_k7_excludes_even(self):
         ob = parity_obstruction(make_complete(7))

@@ -148,6 +148,24 @@ class TestColorCheck:
         code, stdout, _ = run(capsys, "check", "-g", str(g_path), "-c", str(b_path))
         assert code == 0 and json.loads(stdout)["verdict"] == "valid"
 
+    # refused in closed form: the tripartite colorer would key 3*10^6 edges,
+    # and the cube doubling loop would build dimensions 3..17 (some 150 MB);
+    # the patches make either fail at once if it started building
+    @pytest.mark.parametrize("argv", [("tripartite", "1000", "1000", "1000"),
+                                      ("hypercube-interval", "40"),
+                                      ("hypercube-cyclic", "40")])
+    def test_oversized_construction_is_usage_error(self, monkeypatch, capsys, argv):
+        from intcyclic import constructions
+
+        def built(*_):
+            raise AssertionError("construction started before its size check")
+
+        monkeypatch.setattr(constructions, "_key", built)
+        monkeypatch.setattr(constructions, "_check_base_step", built)
+        code, stdout, err = run(capsys, "color", *argv)
+        assert code == EXPECTED_FORMAT_ERROR and stdout == ""
+        assert "limits" in err or "more than" in err
+
 
 class TestSolve:
     def test_feasible_set_cycle(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import pytest
 
 from intcyclic import (
     EdgeColoring,
+    GraphError,
     make_hypercube,
     metrics,
     spectrum,
@@ -18,6 +19,7 @@ from intcyclic.constructions import (
     hypercube_base_interval,
     mod_reduce,
 )
+from intcyclic import constructions, graphs
 
 
 def interval(a, b):
@@ -229,6 +231,46 @@ class TestHypercubeCyclic:
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             color_hypercube_cyclic(1)
+
+
+class TestSizeLimits:
+    """Families built by the colorers themselves are refused in closed form,
+    before any edge, color map or base cube exists (caps patched small)."""
+
+    @staticmethod
+    def forbid(monkeypatch, *names):
+        def built(*_):
+            raise AssertionError("construction started before its size check")
+        for name in names:
+            monkeypatch.setattr(constructions, name, built)
+
+    def test_tripartite(self, monkeypatch):
+        g, _ = color_tripartite(2, 3, 4)  # 9 vertices, 26 edges
+        monkeypatch.setattr(graphs, "MAX_EDGE_COUNT", 26)
+        assert color_tripartite(4, 3, 2)[0] == g
+        monkeypatch.setattr(graphs, "MAX_EDGE_COUNT", 25)
+        self.forbid(monkeypatch, "_key", "Graph")
+        with pytest.raises(GraphError, match="limits"):
+            color_tripartite(2, 3, 4)
+        monkeypatch.setattr(graphs, "MAX_VERTEX_COUNT", 8)
+        with pytest.raises(GraphError, match="limits"):
+            color_tripartite(2, 3, 4)
+
+    def test_hypercube_interval(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_EDGE_COUNT", 32)  # Q4 has 32 edges
+        assert hypercube_base_interval(4)[1].t == 5
+        self.forbid(monkeypatch, "_check_base_step", "make_hypercube")
+        with pytest.raises(GraphError, match="limits"):
+            hypercube_base_interval(5)
+        with pytest.raises(GraphError, match="more than"):
+            hypercube_base_interval(40)  # 2**40 is not computed either
+
+    def test_hypercube_cyclic(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_VERTEX_COUNT", 32)
+        assert color_hypercube_cyclic(5)[1].t == 16
+        self.forbid(monkeypatch, "hypercube_base_interval", "make_hypercube")
+        with pytest.raises(GraphError, match="more than"):
+            color_hypercube_cyclic(6)
 
 
 class TestConstructionRequests:

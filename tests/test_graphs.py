@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from intcyclic import (
     Graph,
@@ -241,6 +242,38 @@ class TestMetrics:
             assert m.is_bipartite == oracles.two_colorable(g.vertex_count, g.edges)
 
 
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, tuple(edges))
+
+
+def check_sweep(g):
+    """The cached sweep against Floyd-Warshall and against listing every
+    shortest path."""
+    d = graphs.diameter(g)
+    assert (math.inf if d is None else d) == oracles.fw_diameter(g.vertex_count, g.edges)
+    assert metrics(g).diameter == d
+    assert graphs.heaviest_shortest_path(g) == \
+        oracles.heaviest_shortest_path(g.vertex_count, g.edges)
+
+
+class TestSweep:
+    def test_atlas(self, atlas):
+        for g in atlas:
+            check_sweep(g)
+
+    @given(small_graphs())
+    def test_random_graphs(self, g):
+        check_sweep(g)
+
+    @pytest.mark.parametrize("g", all_generated())
+    def test_families(self, g):
+        check_sweep(g)
+
+
 class TestJson:
     def test_round_trip_byte_stable(self):
         g = make_gdn(3, 4)
@@ -264,10 +297,11 @@ class TestJson:
 
 class TestTreeEnumeration:
     # counts verified below against a from-scratch enumeration for n <= 6;
-    # the larger two are the standard published values
-    KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
+    # the larger ones are the published values (OEIS A000055)
+    KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
+                    11: 235, 12: 551, 13: 1301, 14: 3159}
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_counts(self, n):
         ts = list(enumerate_trees(n))
         assert len(ts) == self.KNOWN_COUNTS[n]
@@ -288,6 +322,19 @@ class TestTreeEnumeration:
         for n in range(2, 8):
             codes = [oracles.canonical_edge_set(n, t.edges) for t in enumerate_trees(n)]
             assert len(codes) == len(set(codes))
+
+    # the permutation canonical form costs n! per tree; past 7 vertices the
+    # every-root code keeps the check exact
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_pairwise_nonisomorphic_larger(self, n):
+        codes = [oracles.tree_code(n, t.edges) for t in enumerate_trees(n)]
+        assert len(codes) == len(set(codes)) == self.KNOWN_COUNTS[n]
+
+    def test_generated_lazily(self):
+        # the generator starts from the path rooted at its center; a memo
+        # or an up-front enumeration of 40-vertex trees would never return
+        first = next(enumerate_trees(40))
+        assert is_tree(first) and first.vertex_count == 40 and first.max_degree() == 2
 
 
 def test_leaves():

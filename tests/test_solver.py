@@ -425,7 +425,8 @@ class TestCertify:
                 assert (tr["decision"], tr["source"]) == (TIMEOUT, "search")
 
     def test_witness_wins_over_earlier_timeouts(self):
-        # t=6 times out under a tiny budget but t=7 is found feasible anyway
+        # t=6 is parity-excluded (21 edges, every degree even) and t=7 is
+        # found feasible within the tiny budget
         res = certify_noncolorable(make_complete(7), node_budget=3_000)
         assert isinstance(res, EdgeColoring) and res.t == 7
 
