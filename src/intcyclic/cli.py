@@ -254,6 +254,7 @@ def _cmd_export_dot(args) -> int:
     lines = ["graph {"]
     for v in range(g.vertex_count):
         label = g.labels[v] if g.labels else str(v)
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{label}"];')
     for i, (u, v) in enumerate(g.edges):
         if coloring is None:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .graphs import Graph, _is_int, canonical_json
+from .graphs import MAX_EDGE_COUNT, Graph, _is_int, canonical_json
 
 
 def mod_color(x: int, t: int) -> int:
@@ -46,6 +46,10 @@ class EdgeColoring:
         if not _is_int(t) or not isinstance(colors, list) \
                 or not all(_is_int(c) for c in colors):
             raise ValueError("'t' must be an int and 'colors' a list of ints")
+        # every color is used by some edge, so t <= |E| <= MAX_EDGE_COUNT; a
+        # larger t would only cost one color-unused violation per color
+        if t > MAX_EDGE_COUNT:
+            raise ValueError(f"'t' {t} exceeds the limit of {MAX_EDGE_COUNT}")
         return cls(t, tuple(colors))
 
     @classmethod

@@ -6,9 +6,11 @@ every edge-coloring in this package refers to.
 
 Single-source walks go through one helper, bfs(g, src, dist).  The
 all-pairs facts, diameter() and heaviest_shortest_path(), come from one
-BFS-per-source sweep; it and metrics(g) are computed once per Graph object
-and cached on it, so repeated calls from the bounds, the solver and the
-certificates cost nothing.  enumerate_trees(n) keeps no memo.
+sweep that runs a BFS from every vertex except leaves and twins, whose
+answers it reads off a swept source (see _sweep_sources).  The sweep and
+metrics(g) are computed once per Graph object and cached on it, so repeated
+calls from the bounds, the solver and the certificates cost nothing.
+enumerate_trees(n) keeps no memo.
 """
 
 from __future__ import annotations
@@ -106,15 +108,16 @@ class Graph:
 
     @cached_property
     def _sweep(self) -> tuple[Optional[int], int]:
-        # one BFS per source gives its eccentricity and runs the W dynamic
-        # program: f[v], the heaviest shortest source-v path, is final once
-        # every vertex of the level above v has been dequeued
+        # one BFS per swept source (see _sweep_sources; the skipped ones
+        # cannot change the answer) gives its eccentricity and runs the W
+        # dynamic program: f[v], the heaviest shortest source-v path, is
+        # final once every vertex of the level above v has been dequeued
         n = self.vertex_count
         adjacency = self.adjacency
         weight = [d - 1 for d in self.degrees]
         connected = n > 0
         diam = heaviest = 0
-        for s in range(n):
+        for s, leaf_step in _sweep_sources(self):
             dist = [-1] * n
             f = [0] * n
             dist[s] = 0
@@ -131,7 +134,8 @@ class Graph:
                     elif dist[v] == du and fu + weight[v] > f[v]:
                         f[v] = fu + weight[v]
             connected = connected and len(order) == n
-            diam = max(diam, dist[order[-1]])  # the last visit is the farthest
+            # the last visit is the farthest; a skipped leaf of s is one further
+            diam = max(diam, dist[order[-1]] + leaf_step)
             # f[s] alone is no path, but never exceeds a neighbor's f (a lone
             # source weighs -1); unreached vertices keep f = 0, W's floor
             heaviest = max(heaviest, max(f))
@@ -278,6 +282,47 @@ def is_tree(g: Graph) -> bool:
 
 def leaves(g: Graph) -> tuple[int, ...]:
     return tuple(v for v in range(g.vertex_count) if g.degrees[v] == 1)
+
+
+def _sweep_sources(g: Graph) -> list[tuple[int, int]]:
+    """The sources the all-sources sweep runs a BFS from, in vertex order,
+    each with 1 when it has a leaf skipped by rule (a), else 0.
+
+    A vertex is skipped only when its eccentricity and its heaviest shortest
+    path are read off a swept source:
+
+    (a) Leaves.  A degree-1 vertex l whose neighbour p has degree >= 2.
+    Every path from l starts l, p, so d(l, x) = d(p, x) + 1 for x != l; p
+    has a neighbour other than l, so ecc(l) = ecc(p) + 1.  A shortest l-x
+    path is l before a shortest p-x path, and l weighs deg - 1 = 0, so it
+    weighs no more than a path from p.  p itself is swept: it is no leaf,
+    and no twin of an earlier source r, for l would be adjacent to r too.
+    (b) Twins.  A vertex s whose open neighbourhood N(s) or closed
+    neighbourhood N[s] equals that of an earlier swept source r.  Swapping
+    s and r preserves every adjacency, so it is an automorphism that maps
+    the BFS from s onto the BFS from r: same eccentricity, same W.  An open
+    and a closed neighbourhood are never equal (N(a) = N[b] would put a in
+    N(a)), so one set holds both kinds of key.
+
+    A K2 component is left to (b): its ends are closed twins.  Vertex 0 is
+    swept or is a leaf of a swept vertex, and any one source tells whether
+    the graph is connected.
+    """
+    degrees, adjacency = g.degrees, g.adjacency
+    seen: set[tuple[int, ...]] = set()
+    sources = []
+    for s in range(g.vertex_count):
+        nbrs = adjacency[s]
+        if degrees[s] == 1 and degrees[nbrs[0]] >= 2:
+            continue  # (a)
+        closed = tuple(sorted(nbrs + (s,)))
+        if nbrs in seen or closed in seen:
+            continue  # (b)
+        seen.add(nbrs)
+        seen.add(closed)
+        leaf_step = degrees[s] >= 2 and any(degrees[v] == 1 for v in nbrs)
+        sources.append((s, int(leaf_step)))
+    return sources
 
 
 def diameter(g: Graph) -> Optional[int]:

@@ -202,7 +202,12 @@ def match_analytic(g: Graph) -> Optional[Certificate]:
         cert = _kstar_certificate(*detected, g)
         if cert.passed:
             return cert
+    # g - u keeps |V| - 1 vertices and |E| - deg(u) edges, so it can be a
+    # tree only when deg(u) = |E| - |V| + 2; no other vertex is deleted
+    apex_degree = g.edge_count - g.vertex_count + 2
     for u in range(g.vertex_count):
+        if g.degrees[u] != apex_degree:
+            continue
         rest = _delete_vertex(g, u)
         if not is_tree(rest) or rest.vertex_count < 2:
             continue

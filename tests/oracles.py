@@ -4,8 +4,8 @@ Everything here is deliberately naive and shares no code path with the
 package: diameters via Floyd-Warshall, bipartiteness by exhaustive
 2-coloring, cyclic-interval membership by rotation scan, coloring decisions
 by full enumeration, path metrics via the degree-sum identity, heaviest
-shortest paths by listing every shortest path, and tree canonicalization by
-trying every vertex permutation (or, for larger trees, every root).
+shortest paths by listing every shortest path, and canonical forms by trying
+every vertex permutation or, for trees, every root.
 """
 
 from __future__ import annotations
@@ -179,13 +179,14 @@ def canonical_edge_set(n, edges):
 
 def all_trees_by_subsets(n):
     """Every tree on n labeled vertices by brute force over edge subsets,
-    deduplicated by the permutation canonical form."""
+    deduplicated by tree_code; the sorted codes, one per isomorphism
+    class."""
     from itertools import combinations
     pairs = list(combinations(range(n), 2))
     seen = set()
     for subset in combinations(pairs, n - 1):
         if union_find_components(n, subset) == 1:
-            seen.add(canonical_edge_set(n, subset))
+            seen.add(tree_code(n, subset))
     return sorted(seen)
 
 

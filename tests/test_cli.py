@@ -308,6 +308,35 @@ class TestBoundsCertifyScanDot:
         code, stdout, _ = run(capsys, "export-dot", "-g", str(g_path))
         assert code == 0 and "0 -- 1;" in stdout
 
+    def test_export_dot_escapes_labels(self, tmp_path, capsys):
+        g_path = tmp_path / "g.json"
+        g_path.write_text(Graph(2, ((0, 1),), ('a"b', "c\\d")).to_json())
+        code, stdout, _ = run(capsys, "export-dot", "-g", str(g_path))
+        assert code == 0
+        assert '  0 [label="a\\"b"];' in stdout.splitlines()
+        assert '  1 [label="c\\\\d"];' in stdout.splitlines()
+
+    # a 30-byte coloring file with t = 10**12 would make the validator list
+    # 10**12 unused colors; the patches fail at once if a verb got that far
+    @pytest.mark.parametrize("verb", ["check", "mod-reduce", "export-dot"])
+    def test_huge_coloring_t_is_format_error(self, monkeypatch, tmp_path, capsys, verb):
+        from intcyclic import cli
+
+        def reached(*_):
+            raise AssertionError("coloring with a huge t was accepted")
+
+        monkeypatch.setattr(cli, "validate_cyclic", reached)
+        monkeypatch.setattr(cli.cons, "mod_reduce", reached)
+        g_path, c_path = tmp_path / "g.json", tmp_path / "c.json"
+        run(capsys, "gen", "path", "2", "-o", str(g_path))
+        c_path.write_text('{"t": 1000000000000, "colors": [1]}\n')
+        argv = {"check": ["check", "-g", str(g_path), "-c", str(c_path)],
+                "mod-reduce": ["color", "mod-reduce", "-g", str(g_path),
+                               "--input-coloring", str(c_path), "--t", "1"],
+                "export-dot": ["export-dot", "-g", str(g_path), "-c", str(c_path)]}[verb]
+        code, stdout, err = run(capsys, *argv)
+        assert code == EXPECTED_FORMAT_ERROR and stdout == "" and "exceeds" in err
+
 
 def test_usage_error_exit_code(capsys):
     assert main(["unknown-verb"]) == EXPECTED_FORMAT_ERROR

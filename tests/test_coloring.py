@@ -218,6 +218,15 @@ def test_coloring_rejects_bad_t():
         EdgeColoring(0, ())
 
 
+def test_coloring_file_t_capped_at_edge_limit():
+    # a valid coloring uses each color on some edge; without the cap the
+    # validator would list 10**12 unused colors
+    from intcyclic.graphs import MAX_EDGE_COUNT
+    with pytest.raises(ValueError, match="exceeds"):
+        EdgeColoring.from_dict({"t": 10**12, "colors": [1]})
+    assert EdgeColoring.from_dict({"t": MAX_EDGE_COUNT, "colors": [1]}).t == MAX_EDGE_COUNT
+
+
 def test_mod_color():
     assert mod_color(5, 5) == 5
     assert mod_color(6, 5) == 1

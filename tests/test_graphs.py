@@ -250,6 +250,26 @@ def small_graphs(draw):
     return Graph(n, tuple(edges))
 
 
+@st.composite
+def graphs_with_leaves_and_twins(draw):
+    """A small random graph with some vertices copied (with or without an
+    edge to the original: closed or open twins) and pendants attached, so
+    that both of the sweep's skip rules fire."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set(draw(st.sets(st.sampled_from(pairs)))) if pairs else set()
+    for adjacent in draw(st.lists(st.booleans(), max_size=3)):
+        x = draw(st.integers(0, n - 1))
+        edges |= {(y, n) for y in range(n) if (min(x, y), max(x, y)) in edges}
+        if adjacent:
+            edges.add((x, n))
+        n += 1
+    for x in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        edges.add((x, n))
+        n += 1
+    return Graph(n, tuple(edges))
+
+
 def check_sweep(g):
     """The cached sweep against Floyd-Warshall and against listing every
     shortest path."""
@@ -268,6 +288,33 @@ class TestSweep:
     @given(small_graphs())
     def test_random_graphs(self, g):
         check_sweep(g)
+
+    @given(graphs_with_leaves_and_twins())
+    def test_graphs_with_leaves_and_twins(self, g):
+        check_sweep(g)
+
+    @pytest.mark.parametrize("g,sources", [
+        (Graph(0, ()), []),
+        (Graph(5, ()), [(0, 0)]),  # isolated vertices are open twins
+        (make_path(2), [(0, 0)]),  # K2: closed twins, not leaves
+        (make_path(3), [(1, 1)]),
+        (make_path(5), [(1, 1), (2, 0), (3, 1)]),
+        (make_complete(7), [(0, 0)]),
+        (make_complete_bipartite(3, 4), [(0, 0), (3, 0)]),
+        (make_hypercube(3), [(v, 0) for v in range(8)]),
+        (Graph(5, ((0, 1), (2, 3), (3, 4))), [(0, 0), (3, 1)]),
+        (make_gdn(11, 60), [(v, 1) for v in range(60)]),  # 540 leaves skipped
+        (make_tree_hat(make_hub_tree(3, 2)), [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0),
+                                              (6, 0), (8, 0), (10, 0)]),
+    ], ids=["empty", "isolated", "K2", "P3", "P5", "K7", "K34", "Q3", "K2+P3", "gdn-11-60",
+            "tree-hat"])
+    def test_sources(self, g, sources):
+        assert graphs._sweep_sources(g) == sources
+
+    @pytest.mark.parametrize("d,n", [(3, 4), (4, 5), (11, 60)])
+    def test_gdn_heaviest_path(self, d, n):
+        # leaf, n // 2 + 1 cycle vertices of weight d - 1 each, leaf
+        assert graphs.heaviest_shortest_path(make_gdn(d, n)) == (n // 2 + 1) * (d - 1)
 
     @pytest.mark.parametrize("g", all_generated())
     def test_families(self, g):
@@ -310,7 +357,7 @@ class TestTreeEnumeration:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_subset_enumeration_oracle(self, n):
-        ours = sorted(oracles.canonical_edge_set(n, t.edges) for t in enumerate_trees(n))
+        ours = sorted(oracles.tree_code(n, t.edges) for t in enumerate_trees(n))
         assert ours == oracles.all_trees_by_subsets(n)
 
     def test_deterministic_order(self):

@@ -12,6 +12,8 @@ from intcyclic import (
     make_tree_hat,
     metrics,
 )
+from intcyclic import noncolorable as nc
+from intcyclic.graphs import all_trees_up_to, is_tree, leaves
 from intcyclic.noncolorable import (
     build_certified_kstar,
     build_certified_tree_hat,
@@ -105,6 +107,51 @@ class TestDetection:
         assert match_analytic(make_complete(5)) is None
         # rejected family members match no rule either
         assert match_analytic(make_kstar(2, 5)) is None
+
+
+def match_analytic_every_apex(g):
+    """match_analytic without the apex degree filter: every vertex is
+    deleted and the rest tested for a tree."""
+    detected = detect_kstar(g)
+    if detected is not None:
+        cert = nc._kstar_certificate(*detected, g)
+        if cert.passed:
+            return cert
+    for u in range(g.vertex_count):
+        rest = nc._delete_vertex(g, u)
+        if not is_tree(rest) or rest.vertex_count < 2:
+            continue
+        if {v if v < u else v - 1 for v in g.adjacency[u]} != set(leaves(rest)):
+            continue
+        _, cert = build_certified_tree_hat(rest)
+        if cert.passed:
+            return cert
+    return None
+
+
+# what `gen noncolorable` emits, certified or rejected, plus trees whose hat
+# has more than one vertex of the apex degree
+GEN_NONCOLORABLE = ([make_kstar(n, m) for n in (1, 2, 3) for m in (1, 5, 6 * n, 6 * n + 1)]
+                    + [make_kstar(2, 11)]
+                    + [make_tree_hat(make_hub_tree(h, l))
+                       for h in (1, 2, 3, 6, 7, 10) for l in (1, 2, 6, 7, 10)]
+                    + [make_tree_hat(t) for t in all_trees_up_to(7, 2)])
+
+
+class TestApexFilter:
+    def test_certificates_unchanged(self):
+        for g in GEN_NONCOLORABLE:
+            ours, ref = match_analytic(g), match_analytic_every_apex(g)
+            assert (ours and ours.to_dict()) == (ref and ref.to_dict()), g.edges
+
+    def test_deletes_only_apex_degree_vertices(self, monkeypatch):
+        deleted = []
+        delete = nc._delete_vertex
+        monkeypatch.setattr(nc, "_delete_vertex",
+                            lambda g, u: deleted.append(u) or delete(g, u))
+        hat = make_tree_hat(make_hub_tree(10, 10))
+        assert match_analytic(hat).passed
+        assert deleted == [hat.vertex_count - 1]  # the apex, not all 112 vertices
 
 
 class TestForDegree:
