@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, GraphError, GraphMetrics, bfs, heaviest_shortest_path, is_tree, metrics
+from .graphs import Graph, GraphError, GraphMetrics, heaviest_shortest_path, is_tree, metrics
 
 
 @dataclass(frozen=True)
@@ -163,28 +163,11 @@ def cycle_feasible_set(n: int) -> tuple[int, ...]:
     return tuple(low + list(range(start, n + 1, 2)))
 
 
-def tree_lp(tree: Graph, u: int, v: int) -> int:
-    """Edges of the unique u-v path plus edges hanging off the path."""
-    if not is_tree(tree):
-        raise GraphError("input must be a tree")
-    if u == v:
-        raise ValueError("endpoints must differ")
-    dist = [-1] * tree.vertex_count
-    bfs(tree, u, dist)
-    path = {v}
-    x = v
-    while x != u:
-        x = next(y for y in tree.adjacency[x] if dist[y] == dist[x] - 1)
-        path.add(x)
-    path_edges = len(path) - 1
-    off = sum(1 for a, b in tree.edges if (a in path) != (b in path))
-    return path_edges + off
-
-
 def tree_m(tree: Graph) -> int:
-    """Max of tree_lp over all vertex pairs; equals the largest usable color
-    count for the tree.  Since LP(u, v) = 1 + sum(deg - 1) over the u-v path,
-    this is 1 + W for the W of the shortest-path bound."""
+    """Max over all vertex pairs of LP(u, v), the edges of the u-v path plus
+    the edges hanging off it; equals the largest usable color count for the
+    tree.  Since LP(u, v) = 1 + sum(deg - 1) over the u-v path, this is 1 + W
+    for the W of the shortest-path bound."""
     if not is_tree(tree) or tree.vertex_count < 2:
         raise GraphError("input must be a tree with at least 2 vertices")
     return 1 + heaviest_shortest_path(tree)

@@ -8,17 +8,20 @@ takes them lowest first.  A position's candidates are the colors free at both
 endpoints that keep each endpoint's spectrum inside some cyclic window of its
 degree size; these window masks come from allowed() and are cached per
 (spectrum, degree) for the call.  Branches that cannot use all t colors are
-cut, the first edge is pinned to color 1 (color rotation), and the first
-color other than 1 is capped at ceil((t+1)/2) (color reflection; sound for
-both outcomes, see tests).  Budget exhaustion is reported as a timeout
+cut, and three symmetry cuts keep only the lexicographically least coloring
+of each orbit (see decide()): the first edge is pinned to color 1 (color
+rotation), the first color other than 1 is capped at ceil((t+1)/2) (color
+reflection), and the edges from the first vertex to twin neighbours take
+increasing colors (twin order).  Budget exhaustion is reported as a timeout
 outcome, never as infeasibility.  With a fixed budget and a single worker,
 results are bit-identical run to run.
 
 feasible_set() and certify_noncolorable() settle the color counts of the
-bounded range through one planner, _plan(): a count the parity obstruction
-excludes (an Eulerian graph with an odd edge count and an even t) is recorded
-as infeasible with source "parity" and never searched; every other count is
-decided by decide() and recorded with source "search" and its node count.
+bounded range through one planner, _plan().  A count that a theorem excludes
+is recorded as infeasible with 0 nodes and never searched: source "parity"
+for an even t of an Eulerian graph with an odd edge count, source "matching"
+for a t with |E| > t * floor(|V|/2).  Every other count is decided by
+decide() and recorded with source "search" and its node count.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ TIMEOUT = "timeout"
 
 SEARCH = "search"  # sources of a per-t decision
 PARITY = "parity"
+MATCHING = "matching"
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,13 @@ class SolveOutcome:
 class TDecision:
     """How one color count was settled: by a search (source "search", with
     its node count) or by a theorem whose premises were recomputed from the
-    graph (source "parity", 0 nodes)."""
+    graph, with 0 nodes.  Source "parity": an Eulerian graph with an odd edge
+    count admits no even t.  Source "matching": each color class is a
+    matching of at most floor(|V|/2) edges, so |E| > t * floor(|V|/2)
+    excludes t; K_5 (10 edges, 2 per class) is excluded at t = 4."""
     t: int
     decision: str  # feasible | infeasible | timeout
-    source: str  # search | parity
+    source: str  # search | parity | matching
     nodes_explored: int
 
     def to_dict(self) -> dict:
@@ -137,6 +144,28 @@ def _search_order(g: Graph) -> list[int]:
     return order
 
 
+def _twin_links(g: Graph) -> list[int]:
+    """Twin order on the first star of _search_order: the edges at its start
+    vertex a (the first maximum-degree vertex), which fill the first deg(a)
+    positions with their far endpoints in ascending order, as in
+    g.adjacency[a].  Entry p is the latest earlier position whose far
+    endpoint is a twin of position p's (the same open or the same closed
+    neighbourhood), or -1; trailing -1 entries are dropped."""
+    deg = g.degrees
+    adj = g.adjacency
+    links: list[int] = []
+    # one dict serves both keys: an open neighbourhood N(b) never equals a
+    # closed one N[b'] (b' in N(b) would put b in N[b'] = N(b))
+    last: dict[tuple[int, ...], int] = {}
+    for p, b in enumerate(adj[deg.index(max(deg))]):
+        closed = tuple(sorted(adj[b] + (b,)))
+        links.append(last.get(adj[b], last.get(closed, -1)))
+        last[adj[b]] = last[closed] = p
+    while links and links[-1] < 0:
+        links.pop()
+    return links
+
+
 def allowed(mask: int, d: int, t: int) -> int:
     """Colors (bit c-1 for color c) that a vertex of degree d with spectrum
     bitset mask can still take out of t: the union of every size-d cyclic
@@ -157,7 +186,26 @@ def allowed(mask: int, d: int, t: int) -> int:
 
 def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     """Decide whether the graph admits a cyclic coloring with exactly t
-    colors; feasible outcomes carry a validated witness."""
+    colors; feasible outcomes carry a validated witness.
+
+    Symmetry cuts, and why together they keep every decision.  Let G be the
+    group generated by the color rotations c -> c+k (mod t), the reflection
+    c -> t+2-c (mod t) and the transpositions of twin neighbours b, b' of
+    the start vertex a.  A twin transposition is a vertex automorphism
+    fixing a, so it maps cyclic colorings to cyclic colorings, and color
+    maps commute with it.  Order colorings lexicographically by their color
+    sequence in search order; the least coloring of a G-orbit then meets
+    all three cuts at once, since breaking one would give a smaller image:
+    - rotation: its first edge has color 1;
+    - reflection: the reflection fixes color 1, so the first color c other
+      than 1 has c <= t+2-c, i.e. c <= ceil((t+1)/2) (it sits on a's second
+      star edge when deg(a) >= 2);
+    - twin order: swapping b and b' exchanges the colors of the star edges
+      ab and ab' and moves no other star edge (the other edges of b and b'
+      come after the star), so the earlier of the two has the lower color.
+    Every feasible t thus keeps a witness, and the search tree is a subtree
+    of the one without the twin cut, visited in the same order: the first
+    witness found is the same and no node count goes up."""
     if t < 1:
         raise ValueError("t must be a positive integer")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
@@ -166,14 +214,19 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     if t > m:  # fewer edges than colors: nothing can be surjective
         return SolveOutcome(INFEASIBLE, t, None, 0, time.perf_counter() - start)
     order = _search_order(g)
+    twin = _twin_links(g)
     eu = [g.edges[e][0] for e in order]
     ev = [g.edges[e][1] for e in order]
     deg = g.degrees
+    # only the first `early` positions can need the reflection cap or a twin
+    # link, so later pushes test neither.  The cap binds while color 1 is the
+    # only color used; past position 1 (a's second star edge, which cannot
+    # take color 1) that needs a start vertex of degree 1.
+    early = max(len(twin), 2) if max(deg) >= 2 else m
     # allowed() results keyed on (spectrum mask, degree), filled on first use
     windows: dict[int, dict[int, int]] = {d: {} for d in set(deg)}
     wu = [windows[deg[u]] for u in eu]
     wv = [windows[deg[v]] for v in ev]
-    full = (1 << t) - 1
     capped = (1 << ((t + 2) // 2)) - 1  # colors 1..ceil((t+1)/2)
     tight = m - t  # the first k > tight edges must use at least k - tight colors
     vmask = [0] * g.vertex_count
@@ -217,9 +270,13 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
         av = wv[pos].get(mv)
         if av is None:
             av = wv[pos][mv] = allowed(mv, deg[v], t)
-        # until a color other than 1 is used, cap it at ceil((t+1)/2)
-        # (color reflection); colors are then tried in ascending order
-        cands[pos] = au & av & ~(mu | mv) & (capped if used == 1 else full)
+        c = au & av & ~(mu | mv)  # colors are tried in ascending order
+        if pos < early:
+            if used == 1:  # color reflection: cap at ceil((t+1)/2)
+                c &= capped
+            if pos < len(twin) and twin[pos] >= 0:  # above the earlier twin's color
+                c &= -(bits[twin[pos]] << 1)
+        cands[pos] = c
     colors = [0] * m
     for pos, e in enumerate(order):
         colors[e] = bits[pos].bit_length()
@@ -249,14 +306,20 @@ def _decide_task(args: tuple[Graph, int, Optional[int]]) -> SolveOutcome:
 def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
           ) -> Iterator[tuple[TDecision, Optional[EdgeColoring]]]:
     """Settle each t in [lo, hi] in ascending order, yielding its record and
-    its witness (None unless feasible).  A t the parity obstruction excludes is
-    infeasible with no search; every other t goes to decide().  At most
+    its witness (None unless feasible).  A t that parity or matching capacity
+    excludes is infeasible with no search; every other t goes to decide().
+    Matching capacity: each color class of a proper coloring is a matching,
+    of at most floor(|V|/2) edges, so no t with |E| > t * floor(|V|/2) can
+    color every edge.  At most
     min(jobs, searched t values, CPU count) worker processes run; with one,
     each t is searched in-process only when the caller asks for its record,
     so a caller may stop early."""
     parity = bounds_mod.parity_obstruction(g)
+    pairs = g.vertex_count // 2  # the most edges one color class can hold
     ts = range(lo, hi + 1)
-    searched = [t for t in ts if not parity.excludes(t)]
+    theorem = {t: PARITY if parity.excludes(t) else MATCHING for t in ts
+               if parity.excludes(t) or g.edge_count > t * pairs}
+    searched = [t for t in ts if t not in theorem]
     workers = min(jobs, len(searched), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -265,8 +328,8 @@ def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
     else:
         outcomes = (decide(g, t, node_budget) for t in searched)
     for t in ts:
-        if parity.excludes(t):
-            yield TDecision(t, INFEASIBLE, PARITY, 0), None
+        if t in theorem:
+            yield TDecision(t, INFEASIBLE, theorem[t], 0), None
         else:
             out = next(outcomes)
             yield TDecision(t, out.decision, SEARCH, out.nodes_explored), out.witness
@@ -314,9 +377,9 @@ def certify_noncolorable(g: Graph, node_budget: Optional[int] = None
     timed_out = any(tr["decision"] == TIMEOUT for tr in transcripts)
     premises = (
         nc.Premise("searched-range", hi - lo + 1 if hi >= lo else 0,
-                   f"all t in [{lo}, {hi}] decided by search or parity; smaller t "
-                   "fail vertex-degree properness, larger t exceed the best "
-                   "applicable upper bound",
+                   f"all t in [{lo}, {hi}] decided by search, parity or matching "
+                   "capacity; smaller t fail vertex-degree properness, larger t "
+                   "exceed the best applicable upper bound",
                    not timed_out),
     )
     return nc.Certificate(

@@ -4,8 +4,11 @@ Everything here is deliberately naive and shares no code path with the
 package: diameters via Floyd-Warshall, bipartiteness by exhaustive
 2-coloring, cyclic-interval membership by rotation scan, coloring decisions
 by full enumeration, path metrics via the degree-sum identity, heaviest
-shortest paths by listing every shortest path, and canonical forms by trying
-every vertex permutation or, for trees, every root.
+shortest paths by listing every shortest path, canonical forms by trying
+every vertex permutation or, for trees, every root, and the tree path metric
+by walking the path.  reference_decide is the backtracking kernel as it stood
+before the twin-order cut, kept verbatim as the baseline that the package's
+search must agree with.
 """
 
 from __future__ import annotations
@@ -202,3 +205,129 @@ def tree_code(n, edges):
         return "(" + "".join(sorted(code(y, x) for y in adj[x] if y != parent)) + ")"
 
     return min(code(r, -1) for r in range(n))
+
+
+def tree_lp(tree, u, v):
+    """Edges of the unique u-v path of a tree, plus the edges hanging off
+    the path, by walking the path from v back to u."""
+    from intcyclic import GraphError
+    n, edges = tree.vertex_count, tree.edges
+    if len(edges) != n - 1 or union_find_components(n, edges) != 1:
+        raise GraphError("input must be a tree")
+    if u == v:
+        raise ValueError("endpoints must differ")
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = {u: u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    path = {v}
+    x = v
+    while x != u:
+        x = parent[x]
+        path.add(x)
+    off = sum(1 for a, b in edges if (a in path) != (b in path))
+    return len(path) - 1 + off
+
+
+def _reference_allowed(mask, d, t):
+    full = (1 << t) - 1
+    if d >= t or not mask:
+        return full
+    low = (mask & -mask).bit_length() - 1
+    out = 0
+    w = (1 << d) - 1
+    for s in range(low - d + 1, low + 1):
+        r = w << (s % t)
+        win = (r | r >> t) & full
+        if mask & win == mask:
+            out |= win
+    return out
+
+
+def reference_decide(n, edges, t, node_budget):
+    """The search kernel with only the rotation pin, the reflection cap, the
+    window masks and the counting cut: returns (decision, nodes explored,
+    colors in sorted edge order or None).  Same edge order (BFS from a
+    maximum-degree vertex, per component), same ascending color order and
+    same node counting as the package's decide()."""
+    edges = sorted(tuple(sorted(e)) for e in edges)
+    m = len(edges)
+    if t > m:
+        return "infeasible", 0, None
+    adj = [[] for _ in range(n)]
+    inc = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append(v)
+        adj[v].append(u)
+        inc[u].append(i)
+        inc[v].append(i)
+    adj = [sorted(a) for a in adj]
+    deg = [len(a) for a in adj]
+    dist = [-1] * n
+    added = [False] * m
+    order = []
+    for start in sorted(range(n), key=lambda v: (-deg[v], v)):
+        if dist[start] >= 0:
+            continue
+        dist[start] = 0
+        queue = [start]
+        for u in queue:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+            for e in inc[u]:
+                if not added[e]:
+                    added[e] = True
+                    order.append(e)
+    eu = [edges[e][0] for e in order]
+    ev = [edges[e][1] for e in order]
+    full = (1 << t) - 1
+    capped = (1 << ((t + 2) // 2)) - 1
+    tight = m - t
+    vmask = [0] * n
+    cands = [0] * m
+    cands[0] = 1
+    used_at = [0] * m
+    bits = [0] * m
+    pos = nodes = 0
+    while True:
+        c = cands[pos]
+        if not c:
+            if pos == 0:
+                return "infeasible", nodes, None
+            pos -= 1
+            vmask[eu[pos]] ^= bits[pos]
+            vmask[ev[pos]] ^= bits[pos]
+            continue
+        bit = c & -c
+        cands[pos] = c ^ bit
+        nodes += 1
+        if nodes > node_budget:
+            return "timeout", nodes, None
+        used = used_at[pos] | bit
+        if pos >= tight and used.bit_count() < pos + 1 - tight:
+            continue
+        vmask[eu[pos]] |= bit
+        vmask[ev[pos]] |= bit
+        bits[pos] = bit
+        pos += 1
+        if pos == m:
+            break
+        used_at[pos] = used
+        u, v = eu[pos], ev[pos]
+        mu, mv = vmask[u], vmask[v]
+        cands[pos] = (_reference_allowed(mu, deg[u], t) & _reference_allowed(mv, deg[v], t)
+                      & ~(mu | mv) & (capped if used == 1 else full))
+    colors = [0] * m
+    for pos, e in enumerate(order):
+        colors[e] = bits[pos].bit_length()
+    return "feasible", nodes, tuple(colors)

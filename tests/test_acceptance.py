@@ -169,7 +169,7 @@ def test_criterion_5_parity_obstruction(corpus_sets):
         k7 = make_complete(7)
         assert parity_obstruction(k7).excludes(8)
         out = decide(k7, 8, node_budget=5_000_000)
-        assert out.decision in (INFEASIBLE, TIMEOUT)
+        assert out.decision == INFEASIBLE  # settled by search alone, without parity
         print(f"  (K_7 at t=8 search attempt: {out.decision}, "
               f"{out.nodes_explored} nodes)")
 

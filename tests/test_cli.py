@@ -176,6 +176,19 @@ class TestSolve:
         data = json.loads(stdout)
         assert data["members"] == [3, 5] and data["exhausted"]
 
+    def test_feasible_set_complete_five(self, tmp_path, capsys):
+        # matching capacity excludes t = 4 (10 edges, at most 2 per color)
+        g_path = str(tmp_path / "k5.json")
+        run(capsys, "gen", "complete", "5", "-o", g_path)
+        code, out1, _ = run(capsys, "solve", "-g", g_path, "--feasible-set")
+        _, out2, _ = run(capsys, "solve", "-g", g_path, "--feasible-set")
+        data = json.loads(out1)
+        assert code == 0 and out1 == out2
+        assert data["members"] == [5, 6] and data["range"] == [4, 9]
+        assert data["decisions"][0] == {"t": 4, "decision": "infeasible",
+                                        "source": "matching", "nodes_explored": 0}
+        assert [d["source"] for d in data["decisions"][1:]] == ["search"] * 5
+
     def test_single_t_feasible(self, tmp_path, capsys):
         g_path = tmp_path / "c5.json"
         run(capsys, "gen", "cycle", "5", "-o", str(g_path))

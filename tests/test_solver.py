@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from intcyclic import (
     EdgeColoring,
+    Graph,
     make_complete,
     make_complete_bipartite,
     make_complete_tripartite,
@@ -18,7 +20,7 @@ from intcyclic import (
 )
 from intcyclic.bounds import parity_obstruction
 from intcyclic.coloring import _cyclic_cover_len, mod_color
-from intcyclic.graphs import all_trees_up_to
+from intcyclic.graphs import all_trees_up_to, is_connected
 from intcyclic.noncolorable import Certificate
 from intcyclic.solver import (
     FEASIBLE,
@@ -78,10 +80,10 @@ class TestDecide:
     # node counts and witnesses at a fixed budget pin the search's edge
     # order, color order and pruning
     @pytest.mark.parametrize("g,t,decision,nodes,colors", [
-        (make_complete(5), 7, INFEASIBLE, 629, None),
+        (make_complete(5), 7, INFEASIBLE, 160, None),
         (make_hypercube(3), 8, FEASIBLE, 196, (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)),
         (make_gdn(4, 4), 10, FEASIBLE, 135, (1, 2, 3, 4, 8, 9, 10, 5, 6, 7, 3, 4)),
-        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 987, None),
+        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 201, None),
         (make_complete(6), 8, FEASIBLE, 15,
          (1, 2, 3, 4, 5, 3, 2, 5, 4, 1, 7, 8, 8, 7, 6)),
         (make_tree_hat(make_hub_tree(2, 2)), 5, FEASIBLE, 12, (5, 1, 2, 1, 2, 3, 1, 2, 3, 4)),
@@ -157,6 +159,149 @@ def test_allowed_is_window_extension(t):
             got = solver.allowed(mask, d, t)
             assert {c for c in range(1, t + 1) if got >> (c - 1) & 1} == want, (mask, d)
             assert got >> t == 0
+
+
+def check_against_reference(g, budget):
+    """Every t of the feasible set against the kernel without the twin cut
+    (oracles.reference_decide) at the same budget: where the reference
+    decides, the same decision and the same witness; everywhere, no more
+    nodes.  A t that a theorem excludes must be infeasible by the reference
+    too, and decide() is still run there to check the twin cut.  Returns the
+    (reference, new) node totals."""
+    fs = feasible_set(g, node_budget=budget)
+    totals = [0, 0]
+    for rec in fs.decisions:
+        want, ref_nodes, ref_colors = oracles.reference_decide(
+            g.vertex_count, g.edges, rec.t, budget)
+        if rec.source == "search":
+            got, nodes, witness = rec.decision, rec.nodes_explored, fs.witnesses.get(rec.t)
+        else:
+            assert rec.decision == INFEASIBLE and want != FEASIBLE, (g.edges, rec)
+            out = decide(g, rec.t, budget)
+            got, nodes, witness = out.decision, out.nodes_explored, out.witness
+        assert nodes <= ref_nodes, (g.edges, rec.t)
+        if want != TIMEOUT:
+            assert got == want, (g.edges, rec.t)
+            assert (witness.colors if witness else None) == ref_colors, (g.edges, rec.t)
+        totals[0] += ref_nodes
+        totals[1] += nodes
+    return totals
+
+
+@st.composite
+def hubs_with_planted_twins(draw):
+    """A random graph on 1-3 vertices plus a hub 0 joined to every vertex,
+    then 1-3 copies of non-hub vertices, each with or without an edge to its
+    original (an open or a closed twin).  The hub keeps the maximum degree
+    and the lowest index, so it starts the search order and the copies sit
+    on its star."""
+    k = draw(st.integers(1, 3))
+    pairs = [(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)]
+    edges = set(draw(st.sets(st.sampled_from(pairs)))) if pairs else set()
+    edges |= {(0, v) for v in range(1, k + 1)}
+    n = k + 1
+    for adjacent in draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+        x = draw(st.integers(1, n - 1))
+        edges |= {(y, n) for y in range(n) if (min(x, y), max(x, y)) in edges}
+        if adjacent:
+            edges.add((x, n))
+        n += 1
+    return Graph(n, tuple(edges))
+
+
+class TestTwinOrder:
+    @pytest.mark.parametrize("g,links", [
+        (make_complete(5), [-1, 0, 1, 2]),  # closed twins
+        (make_complete_tripartite(1, 2, 3), [-1, 0, -1, 2, 3]),  # two open classes
+        (make_complete_bipartite(1, 4), [-1, 0, 1, 2]),
+        (make_cycle(4), [-1, 0]),
+        (make_cycle(5), []),
+        (make_hypercube(3), []),
+        (make_gdn(4, 4), [-1, -1, -1, 2]),
+        (Graph(5, ((0, 2), (1, 2), (2, 3), (2, 4), (3, 4))), [-1, 0, -1, 2]),
+    ], ids=["K5", "K1-2-3", "K1-4", "C4", "C5", "Q3", "G4-4", "hub-2"])
+    def test_links(self, g, links):
+        assert solver._twin_links(g) == links
+
+    @pytest.mark.parametrize("g", [make_complete_tripartite(3, 1, 2), make_gdn(4, 4),
+                                   Graph(5, ((0, 2), (1, 2), (2, 3), (2, 4), (3, 4)))],
+                             ids=["K3-1-2", "G4-4", "hub-2"])
+    def test_star_fills_the_first_positions(self, g):
+        # the links index search positions by a's neighbours in adjacency order
+        a = g.degrees.index(max(g.degrees))
+        order = solver._search_order(g)
+        far = [sum(g.edges[e]) - a for e in order[:g.degrees[a]]]
+        assert a in g.edges[order[0]] and far == list(g.adjacency[a])
+
+    @pytest.mark.parametrize("g", [make_cycle(5), make_cycle(6), make_cycle(7),
+                                   make_hypercube(3)], ids=["C5", "C6", "C7", "Q3"])
+    def test_without_twins_the_search_is_unchanged(self, g):
+        # no twin links, so the same nodes as the reference; the reflection
+        # cap binds on several of these
+        assert solver._twin_links(g) == []
+        lo, hi = solver.search_range(g)
+        for t in range(lo, hi + 1):
+            out = decide(g, t)
+            got = (out.decision, out.nodes_explored, out.witness.colors if out.witness else None)
+            assert got == oracles.reference_decide(g.vertex_count, g.edges, t, 10**6), t
+
+    def test_agrees_with_reference_on_atlas(self, atlas):
+        # every connected graph on up to 6 vertices, every t of its range;
+        # the reference decides all of them within the budget
+        graphs = [g for g in atlas if 1 <= g.vertex_count <= 6 and is_connected(g)]
+        assert len(graphs) == 143
+        ref, new = map(sum, zip(*(check_against_reference(g, 200_000) for g in graphs)))
+        assert new < ref // 2
+
+    @given(hubs_with_planted_twins())
+    def test_planted_twins_agree_with_reference(self, g):
+        assert solver._twin_links(g)
+        check_against_reference(g, 3_000)
+
+    def test_reference_check_catches_an_unsound_order(self, monkeypatch):
+        # ordering every star edge, twins or not, loses the only witnesses of
+        # a hub with a pendant pair and a triangle at t = 4
+        g = Graph(5, ((0, 4), (1, 4), (2, 3), (2, 4), (3, 4)))
+        assert solver._twin_links(g) == [-1, 0, -1, 2]
+        monkeypatch.setattr(solver, "_twin_links", lambda g: [-1, 0, 1, 2])
+        assert decide(g, 4).decision == INFEASIBLE
+        with pytest.raises(AssertionError):
+            check_against_reference(g, 10_000)
+
+
+class TestMatchingCapacity:
+    def test_complete_five(self, monkeypatch):
+        # 10 edges, at most 2 per color class: t = 4 cannot color them all
+        searched = []
+
+        def recording_decide(g, t, node_budget=None):
+            searched.append(t)
+            return decide(g, t, node_budget)
+
+        monkeypatch.setattr(solver, "decide", recording_decide)
+        fs = feasible_set(make_complete(5))
+        assert fs.decisions[0] == solver.TDecision(4, INFEASIBLE, "matching", 0)
+        assert searched == list(range(5, fs.t_hi + 1))
+        assert fs.members == (5, 6) and fs.exhausted
+
+    def test_parity_is_named_first(self):
+        # K_7 at t = 6: parity (Eulerian, 21 edges) and matching (21 > 6 * 3) both apply
+        fs = feasible_set(make_complete(7), node_budget=1)
+        assert fs.decisions[0] == solver.TDecision(6, INFEASIBLE, "parity", 0)
+
+    def test_sound_against_search(self):
+        # K_5 minus an edge: 9 > 4 * 2 edges, and an exhaustive search agrees
+        g = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)][1:])
+        fs = feasible_set(g)
+        assert fs.decisions[0] == solver.TDecision(4, INFEASIBLE, "matching", 0)
+        assert oracles.reference_decide(5, g.edges, 4, 10**6)[0] == INFEASIBLE
+
+    def test_in_certificate_transcript(self):
+        res = certify_noncolorable(make_complete(5), node_budget=1)
+        assert isinstance(res, Certificate) and res.inconclusive
+        assert res.transcripts[0] == {"t": 4, "decision": INFEASIBLE, "source": "matching",
+                                      "nodes_explored": 0}
+        assert "matching" in res.premises[0].condition
 
 
 class TestSymmetries:
