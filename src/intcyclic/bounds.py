@@ -1,5 +1,5 @@
-"""Closed-form upper bounds, parity obstruction, and exact feasible-set
-formulas for cycles and trees.
+"""Closed-form upper bounds, the parity obstruction, the matching-capacity
+floor, and exact feasible-set formulas for cycles and trees.
 
 The upper bounds form one table of (name, premises, value).  Premises are
 read from the graph's cached metrics, and a value is computed only when
@@ -59,6 +59,7 @@ class BoundReport:
     graph_digest: str
     entries: tuple[BoundEntry, ...]
     parity: ParityObstruction
+    matching_floor: int
     best_upper: int
 
     @property
@@ -69,6 +70,7 @@ class BoundReport:
         return {"graph": self.graph_digest,
                 "bounds": [e.to_dict() for e in self.entries],
                 "excluded_t": self.excluded_t,
+                "matching_floor": self.matching_floor,
                 "best_upper": self.best_upper}
 
     def table(self) -> str:
@@ -78,6 +80,7 @@ class BoundReport:
             prem = ", ".join(f"{k}={'y' if v else 'n'}" for k, v in e.premises) or "-"
             rows.append(f"{e.name:<26} {val:>8}  {prem}")
         rows.append(f"{'excluded t':<26} {self.excluded_t:>8}")
+        rows.append(f"{'matching floor':<26} {self.matching_floor:>8}")
         rows.append(f"{'best upper':<26} {self.best_upper:>8}")
         return "\n".join(rows)
 
@@ -139,11 +142,20 @@ def parity_obstruction(g: Graph) -> ParityObstruction:
     )
 
 
+def matching_floor(g: Graph) -> int:
+    """The least t with |E| <= t * floor(|V|/2): each color class of a
+    proper coloring is a matching of at most floor(|V|/2) edges, so every
+    smaller t leaves some edge uncolored (the overfull argument).  0 when
+    the graph has no edges."""
+    pairs = g.vertex_count // 2
+    return -(-g.edge_count // pairs) if pairs else 0
+
+
 def report(g: Graph) -> BoundReport:
     m = metrics(g)
     entries = tuple(_entry(g, m, name) for name in _BOUNDS)
     best = min(e.value for e in entries if e.applicable)
-    return BoundReport(g.digest(), entries, parity_obstruction(g), best)
+    return BoundReport(g.digest(), entries, parity_obstruction(g), matching_floor(g), best)
 
 
 # ---------------------------------------------------------------------------

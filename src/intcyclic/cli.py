@@ -14,23 +14,10 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import constructions as cons
+from . import graphs as graphs_mod
 from . import solver
 from .coloring import EdgeColoring, validate_cyclic, validate_interval
-from .graphs import (
-    Graph,
-    GraphError,
-    canonical_json,
-    make_complete,
-    make_complete_bipartite,
-    make_complete_tripartite,
-    make_cycle,
-    make_gdn,
-    make_hub_tree,
-    make_hypercube,
-    make_kstar,
-    make_path,
-    make_tree_hat,
-)
+from .graphs import Graph, GraphError, canonical_json, make_hub_tree, make_tree_hat
 from .noncolorable import Certificate, build_certified_kstar, build_certified_tree_hat
 
 EXIT_OK = 0
@@ -70,26 +57,11 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _int_params(params: list[str], family: str, arity: int) -> list[int]:
-    if len(params) != arity:
-        raise CliError(f"{family} takes {arity} integer parameter(s), got {len(params)}")
+def _int_params(params: list[str], family: str) -> list[int]:
     try:
         return [int(p) for p in params]
     except ValueError:
         raise CliError(f"{family} parameters must be integers: {params}")
-
-
-_GEN_FAMILIES = {
-    "cycle": (1, lambda p: make_cycle(p[0])),
-    "path": (1, lambda p: make_path(p[0])),
-    "complete": (1, lambda p: make_complete(p[0])),
-    "complete-bipartite": (2, lambda p: make_complete_bipartite(p[0], p[1])),
-    "complete-tripartite": (3, lambda p: make_complete_tripartite(p[0], p[1], p[2])),
-    "hypercube": (1, lambda p: make_hypercube(p[0])),
-    "gdn": (2, lambda p: make_gdn(p[0], p[1])),
-    "kstar": (2, lambda p: make_kstar(p[0], p[1])),
-    "hub-tree": (2, lambda p: make_hub_tree(p[0], p[1])),
-}
 
 
 def _cmd_gen(args) -> int:
@@ -101,27 +73,16 @@ def _cmd_gen(args) -> int:
         return EXIT_OK
     if args.family == "noncolorable":
         return _cmd_gen_noncolorable(args)
-    if args.family not in _GEN_FAMILIES:
-        raise CliError(f"unknown family: {args.family}")
-    arity, build = _GEN_FAMILIES[args.family]
-    try:
-        g = build(_int_params(args.params, args.family, arity))
-    except GraphError as exc:
-        raise CliError(str(exc))
+    g = graphs_mod.make_family(args.family, _int_params(args.params, args.family))
     _write(args.output, g.to_json())
     return EXIT_OK
 
 
 def _cmd_gen_noncolorable(args) -> int:
     if args.rule == "kstar":
-        if args.n is not None and args.m is not None:
-            p = [args.n, args.m]
-        else:
-            p = _int_params(args.params, "noncolorable --rule kstar", 2)
-        try:
-            g, cert = build_certified_kstar(p[0], p[1])
-        except ValueError as exc:
-            raise CliError(str(exc))
+        if args.n is None or args.m is None:
+            raise CliError("noncolorable --rule kstar needs --n and --m")
+        g, cert = build_certified_kstar(args.n, args.m)
     elif args.rule == "tree-hat":
         if args.graph:
             tree = _load_graph(args.graph)
@@ -129,10 +90,7 @@ def _cmd_gen_noncolorable(args) -> int:
             tree = make_hub_tree(args.hubs, args.leaves)
         else:
             raise CliError("noncolorable --rule tree-hat needs -g TREE or --hubs/--leaves")
-        try:
-            g, cert = build_certified_tree_hat(tree)
-        except GraphError as exc:
-            raise CliError(str(exc))
+        g, cert = build_certified_tree_hat(tree)
     else:
         raise CliError("gen noncolorable needs --rule kstar|tree-hat")
     _write(args.output, g.to_json())
@@ -142,7 +100,6 @@ def _cmd_gen_noncolorable(args) -> int:
 
 def _cmd_color(args) -> int:
     name = args.construction
-    classes = None
     if name == "mod-reduce":
         if not (args.graph and args.coloring_in and args.t):
             raise CliError("color mod-reduce needs -g GRAPH --input-coloring ALPHA --t T")
@@ -152,32 +109,17 @@ def _cmd_color(args) -> int:
             coloring = cons.mod_reduce(g, alpha, args.t)
         except ValueError as exc:
             raise CliError(str(exc), EXIT_NEGATIVE)
+        classes = []
     else:
-        try:
-            params = tuple(int(x) for x in args.params)
-        except ValueError:
-            raise CliError(f"construction parameters must be integers: {args.params}")
-        if name == "hypercube-interval":
-            # handled apart so the spectrum-class map stays visible
-            if len(params) != 1:
-                raise CliError(f"{name} takes 1 parameter, got {len(params)}")
-            try:
-                g, coloring, classes = cons.hypercube_base_interval(params[0])
-            except ValueError as exc:
-                raise CliError(str(exc))
-        else:
-            try:
-                g, coloring = cons.build_construction(
-                    cons.ConstructionRequest(name, params, args.t))
-            except ValueError as exc:
-                raise CliError(str(exc))
+        g, coloring, *classes = cons.build_construction(
+            name, _int_params(args.params, name), args.t)
     if args.output:
         _write(args.output, g.to_json())
     if args.coloring:
         _write(args.coloring, coloring.to_json())
     summary = {"t": coloring.t, "edges": g.edge_count}
-    if classes is not None:
-        summary["classes"] = list(classes)
+    if classes:
+        summary["classes"] = list(classes[0])
     sys.stdout.write(canonical_json(summary))
     return EXIT_OK
 
@@ -279,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a family graph")
-    p.add_argument("family", help="cycle|path|complete|complete-bipartite|"
-                   "complete-tripartite|hypercube|gdn|kstar|hub-tree|tree-hat|noncolorable")
+    p.add_argument("family", choices=[*graphs_mod.FAMILIES, "tree-hat", "noncolorable"],
+                   help="graph family")
     p.add_argument("params", nargs="*", help="integer family parameters")
     p.add_argument("-o", "--output", default=None, help="output graph file (default stdout)")
     p.add_argument("-g", "--graph", default=None, help="input tree file (tree-hat rules)")
@@ -294,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("color", help="run an explicit coloring construction")
-    p.add_argument("construction", help="gdn|complete-odd|bipartite-cyclic|"
-                   "bipartite-interval|tripartite|hypercube-cyclic|hypercube-interval|mod-reduce")
+    p.add_argument("construction", choices=[*cons.FAMILIES, "mod-reduce"],
+                   help="construction family")
     p.add_argument("params", nargs="*", help="integer construction parameters")
     p.add_argument("-o", "--output", default=None, help="output graph file")
     p.add_argument("-c", "--coloring", default=None, help="output coloring file")

@@ -3,64 +3,26 @@ gets a closed-form constructor, plus the reduction that turns an interval
 coloring with W colors into a cyclic one with any t in [max-degree, W].
 
 Each constructor returns (graph, coloring); the coloring indexes the graph's
-canonical edge order.
+canonical edge order.  hypercube_base_interval returns the 3-tuple
+(graph, coloring, classes), whose classes give each vertex's spectrum class.
+FAMILIES names every constructor, and build_construction dispatches through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .coloring import EdgeColoring, mod_color, spectrum, validate_cyclic, validate_interval
 from .graphs import (
     Graph,
     _check_hypercube_size,
     _check_size,
+    _family_builder,
     make_complete,
     make_complete_bipartite,
     make_gdn,
     make_hypercube,
 )
-
-
-@dataclass(frozen=True)
-class ConstructionRequest:
-    """Family tag plus integer parameters; an optional target width folds an
-    interval construction down to t colors via the mod reduction."""
-
-    family: str
-    params: tuple[int, ...]
-    t: Optional[int] = None
-
-
-# family -> (arity, colorer over the parameter tuple)
-_FAMILIES = {
-    "gdn": (2, lambda p: color_gdn(*p)),
-    "complete-odd": (1, lambda p: color_complete_odd(*p)),
-    "bipartite-cyclic": (2, lambda p: color_complete_bipartite_cyclic(*p)),
-    "bipartite-interval": (2, lambda p: canonical_bipartite_interval(*p)),
-    "tripartite": (3, lambda p: color_tripartite(*p)),
-    "hypercube-cyclic": (1, lambda p: color_hypercube_cyclic(*p)),
-    "hypercube-interval": (1, lambda p: hypercube_base_interval(*p)[:2]),
-}
-
-
-def build_construction(req: ConstructionRequest) -> tuple[Graph, EdgeColoring]:
-    """Dispatch a request to the matching colorer.
-
-    Families: gdn(d, n), complete-odd(n), bipartite-cyclic(m, n),
-    bipartite-interval(m, n), tripartite(l, m, n), hypercube-cyclic(n),
-    hypercube-interval(n).
-    """
-    if req.family not in _FAMILIES:
-        raise ValueError(f"unknown construction family: {req.family}")
-    arity, build = _FAMILIES[req.family]
-    if len(req.params) != arity:
-        raise ValueError(f"{req.family} takes {arity} parameter(s), got {len(req.params)}")
-    g, col = build(req.params)
-    if req.t is not None and req.t != col.t:
-        col = mod_reduce(g, col, req.t)
-    return g, col
 
 
 def _coloring_from_map(g: Graph, t: int, cmap: dict[tuple[int, int], int]) -> EdgeColoring:
@@ -339,3 +301,26 @@ def color_hypercube_cyclic(n: int) -> tuple[Graph, EdgeColoring]:
         else:  # (1,0) -- (0,0)
             cmap[(u, v)] = 4 * (n - 1) if cls == 0 else 1
     return g, _coloring_from_map(g, t, cmap)
+
+
+# family name -> (parameter count, constructor over integer parameters)
+FAMILIES = {
+    "gdn": (2, color_gdn),
+    "complete-odd": (1, color_complete_odd),
+    "bipartite-cyclic": (2, color_complete_bipartite_cyclic),
+    "bipartite-interval": (2, canonical_bipartite_interval),
+    "tripartite": (3, color_tripartite),
+    "hypercube-cyclic": (1, color_hypercube_cyclic),
+    "hypercube-interval": (1, hypercube_base_interval),
+}
+
+
+def build_construction(family: str, params: Sequence[int], t: Optional[int] = None) -> tuple:
+    """(graph, coloring) of a FAMILIES constructor at the given integer
+    parameters, or (graph, coloring, classes) for hypercube-interval.  A
+    target width t other than the constructor's folds an interval
+    construction down to t colors by mod_reduce."""
+    g, col, *classes = _family_builder(FAMILIES, family, params)(*params)
+    if t is not None and t != col.t:
+        col = mod_reduce(g, col, t)
+    return (g, col, *classes)

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 # largest vertex_count accepted from graph JSON, and largest vertex and edge
 # counts a family generator builds; a larger one is refused before anything
@@ -491,6 +491,36 @@ def make_hub_tree(hubs: int, leaves_per_hub: int) -> Graph:
             edges.append((1 + h, nxt))
             nxt += 1
     return Graph(nxt, tuple(edges))
+
+
+# family name -> (parameter count, generator over integer parameters)
+FAMILIES = {
+    "cycle": (1, make_cycle),
+    "path": (1, make_path),
+    "complete": (1, make_complete),
+    "complete-bipartite": (2, make_complete_bipartite),
+    "complete-tripartite": (3, make_complete_tripartite),
+    "hypercube": (1, make_hypercube),
+    "gdn": (2, make_gdn),
+    "kstar": (2, make_kstar),
+    "hub-tree": (2, make_hub_tree),
+}
+
+
+def _family_builder(families: dict, name: str, params: Sequence[int]) -> Callable:
+    """The builder that a family table (name -> (parameter count, builder))
+    holds for `name`, once the name and the parameter count are checked."""
+    if name not in families:
+        raise GraphError(f"unknown family: {name}")
+    arity, build = families[name]
+    if len(params) != arity:
+        raise GraphError(f"{name} takes {arity} parameter(s), got {len(params)}")
+    return build
+
+
+def make_family(name: str, params: Sequence[int]) -> Graph:
+    """The graph of a FAMILIES generator at the given integer parameters."""
+    return _family_builder(FAMILIES, name, params)(*params)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ feasible_set() and certify_noncolorable() settle the color counts of the
 bounded range through one planner, _plan().  A count that a theorem excludes
 is recorded as infeasible with 0 nodes and never searched: source "parity"
 for an even t of an Eulerian graph with an odd edge count, source "matching"
-for a t with |E| > t * floor(|V|/2).  Every other count is decided by
-decide() and recorded with source "search" and its node count.
+for a t below bounds.matching_floor, where |E| > t * floor(|V|/2).  Every
+other count is decided by decide() and recorded with source "search" and its
+node count.
 """
 
 from __future__ import annotations
@@ -306,19 +307,17 @@ def _decide_task(args: tuple[Graph, int, Optional[int]]) -> SolveOutcome:
 def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
           ) -> Iterator[tuple[TDecision, Optional[EdgeColoring]]]:
     """Settle each t in [lo, hi] in ascending order, yielding its record and
-    its witness (None unless feasible).  A t that parity or matching capacity
-    excludes is infeasible with no search; every other t goes to decide().
-    Matching capacity: each color class of a proper coloring is a matching,
-    of at most floor(|V|/2) edges, so no t with |E| > t * floor(|V|/2) can
-    color every edge.  At most
-    min(jobs, searched t values, CPU count) worker processes run; with one,
-    each t is searched in-process only when the caller asks for its record,
-    so a caller may stop early."""
+    its witness (None unless feasible).  A t that parity excludes, or that
+    lies below bounds.matching_floor (matching capacity), is infeasible with
+    no search; every other t goes to decide().  At most min(jobs, searched t
+    values, CPU count) worker processes run; with one, each t is searched
+    in-process only when the caller asks for its record, so a caller may stop
+    early."""
     parity = bounds_mod.parity_obstruction(g)
-    pairs = g.vertex_count // 2  # the most edges one color class can hold
+    floor = bounds_mod.matching_floor(g)
     ts = range(lo, hi + 1)
     theorem = {t: PARITY if parity.excludes(t) else MATCHING for t in ts
-               if parity.excludes(t) or g.edge_count > t * pairs}
+               if parity.excludes(t) or t < floor}
     searched = [t for t in ts if t not in theorem]
     workers = min(jobs, len(searched), os.cpu_count() or 1)
     if workers > 1:

@@ -19,6 +19,7 @@ from intcyclic.bounds import (
     bound_triangle_free,
     cycle_feasible_set,
     k2n_interval_bound,
+    matching_floor,
     parity_obstruction,
     report,
     tree_feasible_set,
@@ -253,6 +254,14 @@ class TestReport:
         report(g)
         metrics(g)
         assert len(calls) == 1
+
+    def test_complete_five_matching_floor(self):
+        # 10 edges, at most 2 per color class; parity excludes nothing
+        g = make_complete(5)
+        rep = report(g)
+        assert matching_floor(g) == rep.matching_floor == 5
+        assert rep.to_dict()["matching_floor"] == 5 and rep.excluded_t == "nothing excluded"
+        assert "matching floor" in rep.table()
 
     def test_table_renders(self):
         text = report(make_cycle(4)).table()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from intcyclic import constructions, graphs
 from intcyclic.cli import build_parser, main
 from intcyclic.graphs import Graph
 
@@ -165,6 +166,59 @@ class TestColorCheck:
         code, stdout, err = run(capsys, "color", *argv)
         assert code == EXPECTED_FORMAT_ERROR and stdout == ""
         assert "limits" in err or "more than" in err
+
+
+class TestFamilyRegistry:
+    """Every family of either registry through the CLI, at small valid
+    parameters; a family added without parameters here fails the first test."""
+
+    GEN = {"cycle": (5,), "path": (3,), "complete": (4,), "complete-bipartite": (2, 3),
+           "complete-tripartite": (1, 2, 3), "hypercube": (3,), "gdn": (3, 4),
+           "kstar": (2, 3), "hub-tree": (2, 3)}
+    COLOR = {"gdn": (3, 4), "complete-odd": (2,), "bipartite-cyclic": (2, 3),
+             "bipartite-interval": (3, 3), "tripartite": (1, 1, 3),
+             "hypercube-cyclic": (3,), "hypercube-interval": (3,)}
+
+    def test_every_family_has_parameters(self):
+        for table, params in ((graphs.FAMILIES, self.GEN), (constructions.FAMILIES, self.COLOR)):
+            assert {name: len(p) for name, p in params.items()} \
+                == {name: arity for name, (arity, _) in table.items()}
+
+    @pytest.mark.parametrize("family", sorted(graphs.FAMILIES))
+    def test_gen(self, tmp_path, capsys, family):
+        g_path = tmp_path / "g.json"
+        code, _, _ = run(capsys, "gen", family, *map(str, self.GEN[family]), "-o", str(g_path))
+        assert code == 0
+        assert Graph.from_json(g_path.read_text()) == graphs.make_family(family, self.GEN[family])
+
+    @pytest.mark.parametrize("family", sorted(constructions.FAMILIES))
+    def test_color_then_check(self, tmp_path, capsys, family):
+        g_path, c_path = tmp_path / "g.json", tmp_path / "c.json"
+        code, _, _ = run(capsys, "color", family, *map(str, self.COLOR[family]),
+                         "-o", str(g_path), "-c", str(c_path))
+        assert code == 0
+        mode = "interval" if family.endswith("-interval") else "cyclic"
+        code, _, _ = run(capsys, "check", "-g", str(g_path), "-c", str(c_path), "--mode", mode)
+        assert code == 0
+
+    @pytest.mark.parametrize("verb,table", [("gen", graphs.FAMILIES),
+                                            ("color", constructions.FAMILIES)],
+                             ids=["gen", "color"])
+    def test_help_lists_every_family(self, capsys, verb, table):
+        code, stdout, _ = run(capsys, verb, "--help")
+        assert code == 0 and all(name in stdout for name in table)
+
+    def test_interval_fold_keeps_classes(self, tmp_path, capsys):
+        # the hypercube's interval coloring folds like the other interval
+        # families, and its spectrum classes stay in the summary
+        g_path, c_path = tmp_path / "g.json", tmp_path / "c.json"
+        code, stdout, _ = run(capsys, "color", "hypercube-interval", "4", "--t", "4",
+                              "-o", str(g_path), "-c", str(c_path))
+        summary = json.loads(stdout)
+        assert code == 0 and summary["t"] == 4 and len(summary["classes"]) == 16
+        code, _, _ = run(capsys, "check", "-g", str(g_path), "-c", str(c_path),
+                         "--mode", "cyclic")
+        assert code == 0
 
 
 class TestSolve:

@@ -274,37 +274,40 @@ class TestSizeLimits:
 
 
 class TestConstructionRequests:
-    from intcyclic.constructions import ConstructionRequest, build_construction
+    from intcyclic.constructions import build_construction
 
     def test_dispatch_matches_direct_calls(self):
-        from intcyclic.constructions import ConstructionRequest, build_construction
+        from intcyclic.constructions import build_construction
         pairs = [
-            (ConstructionRequest("gdn", (3, 4)), color_gdn(3, 4)),
-            (ConstructionRequest("complete-odd", (2,)), color_complete_odd(2)),
-            (ConstructionRequest("bipartite-cyclic", (2, 3)),
+            (("gdn", (3, 4)), color_gdn(3, 4)),
+            (("complete-odd", (2,)), color_complete_odd(2)),
+            (("bipartite-cyclic", (2, 3)),
              color_complete_bipartite_cyclic(2, 3)),
-            (ConstructionRequest("tripartite", (1, 2, 3)), color_tripartite(1, 2, 3)),
-            (ConstructionRequest("hypercube-cyclic", (4,)), color_hypercube_cyclic(4)),
+            (("tripartite", (1, 2, 3)), color_tripartite(1, 2, 3)),
+            (("hypercube-cyclic", (4,)), color_hypercube_cyclic(4)),
         ]
         for req, want in pairs:
-            assert build_construction(req) == want
+            assert build_construction(*req) == want
 
     def test_target_width_reduces_interval_construction(self):
-        from intcyclic.constructions import ConstructionRequest, build_construction
-        g, col = build_construction(ConstructionRequest("bipartite-interval", (3, 4), t=4))
+        from intcyclic.constructions import build_construction
+        g, col = build_construction("bipartite-interval", (3, 4), t=4)
         assert col.t == 4 and validate_cyclic(g, col).valid
+        g, col, classes = build_construction("hypercube-interval", (4,), t=4)
+        assert col.t == 4 and validate_cyclic(g, col).valid
+        assert classes == hypercube_base_interval(4)[2]
 
     def test_target_width_on_cyclic_construction_rejected(self):
-        from intcyclic.constructions import ConstructionRequest, build_construction
+        from intcyclic.constructions import build_construction
         with pytest.raises(ValueError):
-            build_construction(ConstructionRequest("bipartite-cyclic", (3, 3), t=4))
+            build_construction("bipartite-cyclic", (3, 3), t=4)
 
     def test_unknown_family_and_bad_arity(self):
-        from intcyclic.constructions import ConstructionRequest, build_construction
+        from intcyclic.constructions import build_construction
         with pytest.raises(ValueError):
-            build_construction(ConstructionRequest("moebius", (3,)))
+            build_construction("moebius", (3,))
         with pytest.raises(ValueError):
-            build_construction(ConstructionRequest("gdn", (3,)))
+            build_construction("gdn", (3,))
 
 
 def test_every_interval_construction_is_also_cyclic_valid():

@@ -1,3 +1,5 @@
+from itertools import count
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +20,7 @@ from intcyclic import (
     solver,
     validate_cyclic,
 )
-from intcyclic.bounds import parity_obstruction
+from intcyclic.bounds import matching_floor, parity_obstruction
 from intcyclic.coloring import _cyclic_cover_len, mod_color
 from intcyclic.graphs import all_trees_up_to, is_connected
 from intcyclic.noncolorable import Certificate
@@ -269,6 +271,16 @@ class TestTwinOrder:
             check_against_reference(g, 10_000)
 
 
+@st.composite
+def near_complete_graphs(draw):
+    """K_n on 1-9 vertices less up to 4 edges: with n odd these are often
+    overfull, so matching capacity excludes some t of the searched range."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    removed = draw(st.sets(st.sampled_from(pairs), max_size=4)) if pairs else set()
+    return Graph(n, tuple(p for p in pairs if p not in removed))
+
+
 class TestMatchingCapacity:
     def test_complete_five(self, monkeypatch):
         # 10 edges, at most 2 per color class: t = 4 cannot color them all
@@ -302,6 +314,26 @@ class TestMatchingCapacity:
         assert res.transcripts[0] == {"t": 4, "decision": INFEASIBLE, "source": "matching",
                                       "nodes_explored": 0}
         assert "matching" in res.premises[0].condition
+
+    @staticmethod
+    def check_records_follow_the_floor(g):
+        # the floor against its definition, then the planner's matching
+        # records against it: every t below it that parity does not claim
+        # first; a budget of 1 node suffices, only the sources are compared
+        floor = matching_floor(g)
+        assert floor == next(t for t in count() if g.edge_count <= t * (g.vertex_count // 2))
+        lo, hi = solver.search_range(g)
+        parity = parity_obstruction(g)
+        got = [rec.t for rec, _ in solver._plan(g, lo, hi, 1) if rec.source == "matching"]
+        assert got == [t for t in range(lo, hi + 1) if t < floor and not parity.excludes(t)]
+        return got
+
+    def test_records_follow_the_floor_on_atlas(self, atlas):
+        assert any([self.check_records_follow_the_floor(g) for g in atlas])
+
+    @given(near_complete_graphs())
+    def test_records_follow_the_floor(self, g):
+        self.check_records_follow_the_floor(g)
 
 
 class TestSymmetries:
