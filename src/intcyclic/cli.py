@@ -64,7 +64,16 @@ def _int_params(params: list[str], family: str) -> list[int]:
         raise CliError(f"{family} parameters must be integers: {params}")
 
 
+def _refuse_params(args, family: str) -> None:
+    """A family built from files and flags takes no positional parameter;
+    refuse one rather than drop it."""
+    if args.params:
+        raise CliError(f"{family} takes 0 parameter(s), got {len(args.params)}")
+
+
 def _cmd_gen(args) -> int:
+    if args.family in ("tree-hat", "noncolorable"):
+        _refuse_params(args, args.family)
     if args.family == "tree-hat":
         if not args.graph:
             raise CliError("gen tree-hat needs a tree file via -g")
@@ -101,6 +110,7 @@ def _cmd_gen_noncolorable(args) -> int:
 def _cmd_color(args) -> int:
     name = args.construction
     if name == "mod-reduce":
+        _refuse_params(args, name)
         if not (args.graph and args.coloring_in and args.t):
             raise CliError("color mod-reduce needs -g GRAPH --input-coloring ALPHA --t T")
         g = _load_graph(args.graph)

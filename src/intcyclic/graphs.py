@@ -6,11 +6,15 @@ every edge-coloring in this package refers to.
 
 Single-source walks go through one helper, bfs(g, src, dist).  The
 all-pairs facts, diameter() and heaviest_shortest_path(), come from one
-sweep that runs a BFS from every vertex except leaves and twins, whose
-answers it reads off a swept source (see _sweep_sources).  The sweep and
-metrics(g) are computed once per Graph object and cached on it, so repeated
-calls from the bounds, the solver and the certificates cost nothing.
-enumerate_trees(n) keeps no memo.
+sweep with two branches.  A regular graph of small diameter (see
+Graph._sweep) grows every vertex's reach set as a bitset, one BFS level per
+round, and reads W off its degree (see _regular_sweep): about diam * 2|E|
+big-int ORs per block of _REACH_BLOCK targets.  Any other graph runs a BFS
+from every vertex except leaves and twins, whose answers it reads off a
+swept source (see _sweep_sources): at most |V| (|V| + 2|E|) list steps.
+The sweep and metrics(g) are computed once per Graph object and cached on
+it, so repeated calls from the bounds, the solver and the certificates cost
+nothing.  enumerate_trees(n) keeps no memo.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ from typing import Callable, Iterator, Optional, Sequence
 # is allocated for it
 MAX_VERTEX_COUNT = 10**6
 MAX_EDGE_COUNT = 10**6
+
+# targets per block of the regular sweep (see _regular_sweep): a reach set
+# holds at most this many bits, and a round holds two sets per vertex, so
+# the sweep never holds more than 2 |V| _REACH_BLOCK bits (512 MB at
+# MAX_VERTEX_COUNT), not |V|^2.  2048 keeps every regular graph of the tests
+# and the benchmark in one block (the largest are C_1200 and Q_10, with 1024
+# vertices).
+_REACH_BLOCK = 2048
 
 
 class GraphError(ValueError):
@@ -108,6 +120,17 @@ class Graph:
 
     @cached_property
     def _sweep(self) -> tuple[Optional[int], int]:
+        # a regular graph takes the bitset branch unless its diameter is
+        # large: a block runs as many rounds as its targets' largest
+        # eccentricity, at most twice max(dist) (one eccentricity per
+        # component), and up to _REACH_BLOCK rounds of 2|E| ORs cost less
+        # than the _REACH_BLOCK BFS of |V| + 2|E| steps they stand for.
+        # Longer rounds lose: on a 2-core x86-64 VM, C_6000 took 11.3 s in
+        # bitsets and 8.1 s by BFS.
+        degrees = self.degrees
+        if degrees and min(degrees) == max(degrees) and \
+                max(_component_dists(self)[1]) <= _REACH_BLOCK // 2:
+            return _regular_sweep(self)
         # one BFS per swept source (see _sweep_sources; the skipped ones
         # cannot change the answer) gives its eccentricity and runs the W
         # dynamic program: f[v], the heaviest shortest source-v path, is
@@ -323,6 +346,58 @@ def _sweep_sources(g: Graph) -> list[tuple[int, int]]:
         leaf_step = degrees[s] >= 2 and any(degrees[v] == 1 for v in nbrs)
         sources.append((s, int(leaf_step)))
     return sources
+
+
+def _regular_sweep(g: Graph) -> tuple[Optional[int], int]:
+    """Graph._sweep of a d-regular graph with at least one vertex, with no
+    BFS per vertex.
+
+    Every vertex weighs d - 1, so a shortest path on k + 1 vertices weighs
+    (k + 1)(d - 1), and W is (e + 1)(d - 1) with a floor of 0, where e is the
+    largest eccentricity within a component.
+
+    e comes from reach sets grown one BFS level per round, as big-int
+    bitsets (the bit-parallel multi-source BFS of Then et al., PVLDB 8(4),
+    2014).  Targets are taken _REACH_BLOCK at a time: after k rounds, bit i
+    of reach[v] is set when target lo + i is within k steps of v, and a round
+    sets reach[v] |= reach[w] for every neighbour w, from the sets of the
+    round before.  A vertex whose set holds the whole block drops out.  A
+    set that does not grow in one round may still grow in a later one (when
+    no target lies at that distance), so only a round in which no set grows
+    ends the block early; the vertices left then miss a target, so the graph
+    is disconnected.  The last round in which a set grew is the largest
+    distance from a target of the block within its component, and the
+    largest over the blocks is e.  Cost: about e * 2|E| ORs per block,
+    against _REACH_BLOCK (|V| + 2|E|) list steps for a BFS from each of its
+    targets.
+    """
+    n = g.vertex_count
+    adjacency = g.adjacency
+    connected = True
+    ecc = 0
+    for lo in range(0, n, _REACH_BLOCK):
+        width = min(_REACH_BLOCK, n - lo)
+        full = (1 << width) - 1
+        reach = [0] * n
+        for i in range(width):
+            reach[lo + i] = 1 << i
+        active = [v for v in range(n) if reach[v] != full]
+        rounds = 0
+        while active:
+            grown = reach[:]
+            for v in active:
+                r = reach[v]
+                for w in adjacency[v]:
+                    r |= reach[w]
+                grown[v] = r
+            if grown == reach:  # a fixpoint short of the whole block
+                connected = False
+                break
+            rounds += 1
+            reach = grown
+            active = [v for v in active if reach[v] != full]
+        ecc = max(ecc, rounds)
+    return (ecc if connected else None), max(0, (ecc + 1) * (g.degrees[0] - 1))
 
 
 def diameter(g: Graph) -> Optional[int]:

@@ -167,6 +167,18 @@ def _twin_links(g: Graph) -> list[int]:
     return links
 
 
+def _search_plan(g: Graph) -> tuple[list[int], list[int]]:
+    """_search_order(g) and _twin_links(g), built on the first decide() of a
+    Graph object and kept on it, as functools.cached_property keeps its
+    sweep: both depend only on the graph, and _plan decides many t of one
+    graph.  decide() keeps its signature, so callers that wrap it still see
+    every search."""
+    plan = vars(g).get("_search_plan")
+    if plan is None:
+        plan = vars(g)["_search_plan"] = (_search_order(g), _twin_links(g))
+    return plan
+
+
 def allowed(mask: int, d: int, t: int) -> int:
     """Colors (bit c-1 for color c) that a vertex of degree d with spectrum
     bitset mask can still take out of t: the union of every size-d cyclic
@@ -214,8 +226,7 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     m = g.edge_count
     if t > m:  # fewer edges than colors: nothing can be surjective
         return SolveOutcome(INFEASIBLE, t, None, 0, time.perf_counter() - start)
-    order = _search_order(g)
-    twin = _twin_links(g)
+    order, twin = _search_plan(g)
     eu = [g.edges[e][0] for e in order]
     ev = [g.edges[e][1] for e in order]
     deg = g.degrees

@@ -40,10 +40,11 @@ def fw_diameter(n, edges):
     return max(dist[i][j] for i in range(n) for j in range(n)) if n else INF
 
 
-def heaviest_shortest_path(n, edges):
+def heaviest_shortest_path(n, edges, sources=None):
     """W by listing every shortest path between every two distinct vertices
     and summing (degree - 1) over its vertices; 0 when there is no such
-    path."""
+    path.  With `sources`, only the paths that start at one of them are
+    listed (enough for a vertex-transitive graph, with one source)."""
     dist = fw_distances(n, edges)
     adj = [[] for _ in range(n)]
     for u, v in edges:
@@ -60,7 +61,7 @@ def heaviest_shortest_path(n, edges):
                     yield [x] + rest
 
     best = 0
-    for u in range(n):
+    for u in range(n) if sources is None else sources:
         for v in range(n):
             if u != v and dist[u][v] != INF:
                 for path in paths(u, v):

@@ -85,6 +85,29 @@ class TestGen:
         assert json.loads(stdout.strip())["passed"]
 
 
+# families built from files and flags: each call is valid but for its stray
+# positional parameters, which are refused, not dropped, and nothing is written
+@pytest.mark.parametrize("verb,params,flags", [
+    (("gen", "tree-hat"), ("7", "9"), ("-g", "TREE", "-o", "OUT")),
+    (("gen", "noncolorable"), ("3",),
+     ("--rule", "tree-hat", "--hubs", "10", "--leaves", "10", "-o", "OUT")),
+    (("color", "mod-reduce"), ("1",),
+     ("-g", "GRAPH", "--input-coloring", "ALPHA", "--t", "3", "-c", "OUT")),
+], ids=["gen-tree-hat", "gen-noncolorable", "color-mod-reduce"])
+def test_parameterless_family_refuses_parameters(tmp_path, capsys, verb, params, flags):
+    files = {name: tmp_path / f"{name}.json" for name in ("TREE", "GRAPH", "ALPHA", "OUT")}
+    run(capsys, "gen", "path", "4", "-o", str(files["TREE"]))
+    run(capsys, "color", "bipartite-interval", "3", "3",
+        "-o", str(files["GRAPH"]), "-c", str(files["ALPHA"]))
+    flags = [str(files.get(a, a)) for a in flags]
+    assert main([*verb, *flags]) == 0
+    files["OUT"].unlink()
+    capsys.readouterr()
+    code, stdout, err = run(capsys, *verb, *params, *flags)
+    assert code == EXPECTED_FORMAT_ERROR and "0 parameter(s)" in err
+    assert stdout == "" and not files["OUT"].exists()
+
+
 class TestColorCheck:
     @pytest.mark.parametrize("argv,t", [
         (("color", "gdn", "3", "4"), 8),

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -319,6 +320,116 @@ class TestSweep:
     @pytest.mark.parametrize("g", all_generated())
     def test_families(self, g):
         check_sweep(g)
+
+
+def circulant(n, jumps):
+    """The edges of C_n(jumps): i ~ i + j (mod n) for each jump j."""
+    return {(min(i, (i + j) % n), max(i, (i + j) % n))
+            for i in range(n) for j in jumps if j % n}
+
+
+@st.composite
+def regular_graphs(draw):
+    """A regular graph built without networkx: a circulant C_n(S) of degree
+    d, then up to three more components of degree d (a copy of it, K_{d+1},
+    K_{d,d} when d >= 1, C_m when d = 2), with the vertices shuffled so that
+    the sweep's target blocks cut across components."""
+    n = draw(st.integers(1, 9))
+    first = circulant(n, draw(st.sets(st.integers(1, max(1, n // 2)), max_size=3)))
+    d = sum(1 for e in first if 0 in e)
+    parts = [(n, first)]
+    kinds = ["copy", "complete"] + ["bipartite"] * (d >= 1) + ["cycle"] * (d == 2)
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        if kind == "copy":
+            parts.append((n, first))
+        elif kind == "complete":
+            parts.append((d + 1, set(combinations(range(d + 1), 2))))
+        elif kind == "bipartite":
+            parts.append((2 * d, {(i, d + j) for i in range(d) for j in range(d)}))
+        else:
+            m = draw(st.integers(3, 9))
+            parts.append((m, circulant(m, {1})))
+    total = sum(size for size, _ in parts)
+    perm = draw(st.permutations(range(total)))
+    edges, base = [], 0
+    for size, part in parts:
+        edges += [(perm[base + u], perm[base + v]) for u, v in part]
+        base += size
+    g = Graph(total, tuple(edges))
+    assert set(g.degrees) == {d}
+    return g
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, tuple(outer + spokes + inner))
+
+
+def matching(k):
+    return Graph(2 * k, tuple((2 * i, 2 * i + 1) for i in range(k)))
+
+
+def check_regular_sweep(g, widths=(1, 2, 3), sources=None):
+    """The regular branch against Floyd-Warshall and against listing every
+    shortest path (from `sources` only, when given), through the cached
+    sweep and again with target blocks of each width in `widths`."""
+    d = oracles.fw_diameter(g.vertex_count, g.edges)
+    want = (None if d == math.inf else d,
+            oracles.heaviest_shortest_path(g.vertex_count, g.edges, sources))
+    assert (graphs.diameter(g), graphs.heaviest_shortest_path(g)) == want
+    assert metrics(g).diameter == want[0]
+    for width in widths:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_REACH_BLOCK", width)
+            assert graphs._regular_sweep(g) == want, width
+
+
+# (graph, sources for the W oracle): Q_d is vertex-transitive, so beyond
+# Q_5 the paths from vertex 0 give W at a fraction of the listing's cost
+REGULAR = {f"Q{d}": (make_hypercube(d), None if d <= 5 else (0,)) for d in range(1, 8)}
+REGULAR |= {"petersen": (petersen(), None), "isolated5": (Graph(5, ()), None),
+            "K1": (Graph(1, ()), None)}
+REGULAR |= {f"matching{k}": (matching(k), None) for k in range(1, 5)}
+
+
+class TestRegularSweep:
+    @given(regular_graphs(), st.integers(1, 3))
+    def test_random_regular_graphs(self, g, width):
+        check_regular_sweep(g, (width,))
+
+    @pytest.mark.parametrize("name", REGULAR)
+    def test_named_graphs(self, name):
+        g, sources = REGULAR[name]
+        check_regular_sweep(g, sources=sources)
+
+    @pytest.mark.parametrize("d", [8, 9, 10])
+    def test_large_hypercubes(self, d):
+        g = make_hypercube(d)
+        assert (graphs.diameter(g), graphs.heaviest_shortest_path(g)) == (d, (d + 1) * (d - 1))
+
+    @pytest.mark.parametrize("g", [make_cycle(7), make_hypercube(4), make_complete(6),
+                                   petersen(), Graph(5, ())],
+                             ids=["C7", "Q4", "K6", "petersen", "isolated5"])
+    def test_runs_no_bfs_per_vertex(self, monkeypatch, g):
+        def swept(_):
+            raise AssertionError("a regular graph took the per-source sweep")
+
+        monkeypatch.setattr(graphs, "_sweep_sources", swept)
+        assert g._sweep == graphs._regular_sweep(g)
+
+    def test_large_diameter_keeps_the_bfs_per_source(self, monkeypatch):
+        # at 4 targets a block, C_5 (eccentricity 2) takes the bitsets and
+        # C_7 (eccentricity 3) would run more rounds than they pay for
+        taken = []
+        bitsets = graphs._regular_sweep
+        monkeypatch.setattr(graphs, "_REACH_BLOCK", 4)
+        monkeypatch.setattr(graphs, "_regular_sweep",
+                            lambda g: taken.append(g.vertex_count) or bitsets(g))
+        for n in (5, 7):
+            check_sweep(make_cycle(n))
+        assert taken == [5]
 
 
 class TestJson:

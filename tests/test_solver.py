@@ -415,6 +415,24 @@ class TestFeasibleSet:
         assert seen == started
         assert fs.members == (3, 4) and fs.exhausted
 
+    def test_search_order_built_once_per_graph(self, monkeypatch):
+        built = []
+        for name in ("_search_order", "_twin_links"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(solver, name,
+                                lambda g, real=real, name=name: built.append(name) or real(g))
+        g = make_hypercube(3)
+        fs = feasible_set(g, node_budget=200_000)
+        searched = [rec for rec in fs.decisions if rec.source == "search"]
+        assert len(searched) > 1 and fs.members
+        assert sorted(built) == ["_search_order", "_twin_links"]
+        # the same records and witnesses as deciding each t on a new object
+        for rec in searched:
+            out = decide(Graph(g.vertex_count, g.edges), rec.t, node_budget=200_000)
+            assert (out.decision, out.nodes_explored) == (rec.decision, rec.nodes_explored)
+            assert out.witness == fs.witnesses.get(rec.t)
+        assert len(built) == 2 * (1 + len(searched))
+
     def test_t_hi_caps_range(self):
         fs = feasible_set(make_cycle(6), t_hi=3)
         assert fs.t_hi == 3 and fs.members == (2, 3)
