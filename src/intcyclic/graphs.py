@@ -4,17 +4,17 @@ Vertices are 0-based indices.  Edges are stored as (u, v) pairs with u < v,
 sorted lexicographically; that sorted order is the canonical index space
 every edge-coloring in this package refers to.
 
-Single-source walks go through one helper, bfs(g, src, dist).  The
+Single-source walks go through one helper, bfs(g, src, dist), and one
+component pass per graph (count, and each vertex's depth from the first
+vertex of its component) answers connectivity and bipartiteness.  The
 all-pairs facts, diameter() and heaviest_shortest_path(), come from one
-sweep with two branches.  A regular graph of small diameter (see
-Graph._sweep) grows every vertex's reach set as a bitset, one BFS level per
-round, and reads W off its degree (see _regular_sweep): about diam * 2|E|
-big-int ORs per block of _REACH_BLOCK targets.  Any other graph runs a BFS
-from every vertex except leaves and twins, whose answers it reads off a
-swept source (see _sweep_sources): at most |V| (|V| + 2|E|) list steps.
-The sweep and metrics(g) are computed once per Graph object and cached on
-it, so repeated calls from the bounds, the solver and the certificates cost
-nothing.  enumerate_trees(n) keeps no memo.
+sweep.  A regular graph reads W off its degree (see _regular_sweep) and its
+largest eccentricity off the component pass at degree <= 2, or off reach
+sets grown as bitsets above that: about diam * 2|E| big-int ORs per block of
+_REACH_BLOCK targets.  Any other graph runs a BFS from every vertex except
+leaves and twins (see first_twins, the one twin rule), whose answers it
+reads off a swept source: at most |V| (|V| + 2|E|) list steps.  All of these
+are cached on the Graph object.  enumerate_trees(n) keeps no memo.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from typing import Callable, Iterator, Optional, Sequence
 MAX_VERTEX_COUNT = 10**6
 MAX_EDGE_COUNT = 10**6
 
-# targets per block of the regular sweep (see _regular_sweep): a reach set
-# holds at most this many bits, and a round holds two sets per vertex, so
-# the sweep never holds more than 2 |V| _REACH_BLOCK bits (512 MB at
-# MAX_VERTEX_COUNT), not |V|^2.  2048 keeps every regular graph of the tests
-# and the benchmark in one block (the largest are C_1200 and Q_10, with 1024
-# vertices).
+# targets per block of _reach_eccentricity: a reach set holds at most this
+# many bits, and a round holds two sets per vertex, so the sweep never holds
+# more than 2 |V| _REACH_BLOCK bits (512 MB at MAX_VERTEX_COUNT), not |V|^2.
+# 2048 keeps every regular graph of degree 3 or more in the tests and the
+# benchmark in one block (the largest is Q_10, with 1024 vertices).
 _REACH_BLOCK = 2048
 
 
@@ -103,9 +102,21 @@ class Graph:
         return tuple(tuple(a) for a in inc)
 
     @cached_property
+    def _components(self) -> tuple[int, list[int]]:
+        # the one component pass: the component count, and each vertex's BFS
+        # depth from the first vertex of its component
+        dist = [-1] * self.vertex_count
+        count = 0
+        for s in range(self.vertex_count):
+            if dist[s] < 0:
+                count += 1
+                bfs(self, s, dist)
+        return count, dist
+
+    @cached_property
     def _metrics(self) -> GraphMetrics:
         # read through metrics(); computed once per object
-        comps = component_count(self)
+        comps = self._components[0]
         degs = self.degrees
         return GraphMetrics(
             degrees=degs,
@@ -120,16 +131,8 @@ class Graph:
 
     @cached_property
     def _sweep(self) -> tuple[Optional[int], int]:
-        # a regular graph takes the bitset branch unless its diameter is
-        # large: a block runs as many rounds as its targets' largest
-        # eccentricity, at most twice max(dist) (one eccentricity per
-        # component), and up to _REACH_BLOCK rounds of 2|E| ORs cost less
-        # than the _REACH_BLOCK BFS of |V| + 2|E| steps they stand for.
-        # Longer rounds lose: on a 2-core x86-64 VM, C_6000 took 11.3 s in
-        # bitsets and 8.1 s by BFS.
         degrees = self.degrees
-        if degrees and min(degrees) == max(degrees) and \
-                max(_component_dists(self)[1]) <= _REACH_BLOCK // 2:
+        if degrees and min(degrees) == max(degrees):
             return _regular_sweep(self)
         # one BFS per swept source (see _sweep_sources; the skipped ones
         # cannot change the answer) gives its eccentricity and runs the W
@@ -138,7 +141,6 @@ class Graph:
         n = self.vertex_count
         adjacency = self.adjacency
         weight = [d - 1 for d in self.degrees]
-        connected = n > 0
         diam = heaviest = 0
         for s, leaf_step in _sweep_sources(self):
             dist = [-1] * n
@@ -156,13 +158,12 @@ class Graph:
                         order.append(v)
                     elif dist[v] == du and fu + weight[v] > f[v]:
                         f[v] = fu + weight[v]
-            connected = connected and len(order) == n
             # the last visit is the farthest; a skipped leaf of s is one further
             diam = max(diam, dist[order[-1]] + leaf_step)
             # f[s] alone is no path, but never exceeds a neighbor's f (a lone
             # source weighs -1); unreached vertices keep f = 0, W's floor
             heaviest = max(heaviest, max(f))
-        return (diam if connected else None), heaviest
+        return (diam if is_connected(self) else None), heaviest
 
     @property
     def edge_count(self) -> int:
@@ -264,30 +265,14 @@ def bfs(g: Graph, src: int, dist: list[int]) -> list[int]:
     return order
 
 
-def _component_dists(g: Graph) -> tuple[int, list[int]]:
-    """Component count, and each vertex's distance from the first vertex of
-    its component."""
-    dist = [-1] * g.vertex_count
-    count = 0
-    for s in range(g.vertex_count):
-        if dist[s] < 0:
-            count += 1
-            bfs(g, s, dist)
-    return count, dist
-
-
-def component_count(g: Graph) -> int:
-    return _component_dists(g)[0]
-
-
 def is_connected(g: Graph) -> bool:
-    return g.vertex_count > 0 and component_count(g) == 1
+    return g.vertex_count > 0 and g._components[0] == 1
 
 
 def is_bipartite(g: Graph) -> bool:
     # BFS levels 2-color each component; an edge between two levels of the
     # same parity closes an odd cycle
-    dist = _component_dists(g)[1]
+    dist = g._components[1]
     return all((dist[u] ^ dist[v]) & 1 for u, v in g.edges)
 
 
@@ -307,6 +292,26 @@ def leaves(g: Graph) -> tuple[int, ...]:
     return tuple(v for v in range(g.vertex_count) if g.degrees[v] == 1)
 
 
+def first_twins(g: Graph, vertices: Sequence[int]) -> list[int]:
+    """For each vertex v of the list, the first vertex of the list that is a
+    twin of v (the same open neighbourhood N(v) or the same closed one N[v]),
+    v itself when no earlier vertex is.
+
+    Twins form classes.  Each kind of twinship is an equivalence, and no
+    vertex a has an open twin b and a closed twin c besides itself: c in N[a]
+    gives c in N(a) = N(b), so b in N[c] = N[a], so b in N(a) = N(b), a loop.
+    Nor is an open key ever a closed one: N(a) = N[b] gives b in N(a), so a
+    in N[b] = N(a).  So one dict maps both kinds of key to a class's first.
+    """
+    adjacency = g.adjacency
+    first: dict[tuple[int, ...], int] = {}
+    out = []
+    for v in vertices:
+        nbrs = adjacency[v]
+        out.append(first.setdefault(nbrs, first.setdefault(tuple(sorted(nbrs + (v,))), v)))
+    return out
+
+
 def _sweep_sources(g: Graph) -> list[tuple[int, int]]:
     """The sources the all-sources sweep runs a BFS from, in vertex order,
     each with 1 when it has a leaf skipped by rule (a), else 0.
@@ -319,30 +324,23 @@ def _sweep_sources(g: Graph) -> list[tuple[int, int]]:
     has a neighbour other than l, so ecc(l) = ecc(p) + 1.  A shortest l-x
     path is l before a shortest p-x path, and l weighs deg - 1 = 0, so it
     weighs no more than a path from p.  p itself is swept: it is no leaf,
-    and no twin of an earlier source r, for l would be adjacent to r too.
-    (b) Twins.  A vertex s whose open neighbourhood N(s) or closed
-    neighbourhood N[s] equals that of an earlier swept source r.  Swapping
-    s and r preserves every adjacency, so it is an automorphism that maps
-    the BFS from s onto the BFS from r: same eccentricity, same W.  An open
-    and a closed neighbourhood are never equal (N(a) = N[b] would put a in
-    N(a)), so one set holds both kinds of key.
+    and no twin of an earlier vertex r, for l would be adjacent to r too.
+    (b) Twins.  A vertex s with an earlier twin r (see first_twins).
+    Swapping s and r preserves every adjacency, so it is an automorphism
+    that maps the BFS from s onto the BFS from r: same eccentricity, same
+    W.  If (a) skips r, it skips s too: an open twin of a leaf shares its
+    one neighbour, and a closed twin of a leaf l could only be its
+    neighbour p, of degree 1.
 
-    A K2 component is left to (b): its ends are closed twins.  Vertex 0 is
-    swept or is a leaf of a swept vertex, and any one source tells whether
-    the graph is connected.
+    A K2 component is left to (b): its ends are closed twins.
     """
     degrees, adjacency = g.degrees, g.adjacency
-    seen: set[tuple[int, ...]] = set()
+    twin = first_twins(g, range(g.vertex_count))
     sources = []
     for s in range(g.vertex_count):
         nbrs = adjacency[s]
-        if degrees[s] == 1 and degrees[nbrs[0]] >= 2:
-            continue  # (a)
-        closed = tuple(sorted(nbrs + (s,)))
-        if nbrs in seen or closed in seen:
-            continue  # (b)
-        seen.add(nbrs)
-        seen.add(closed)
+        if degrees[s] == 1 and degrees[nbrs[0]] >= 2 or twin[s] != s:
+            continue  # (a) or (b)
         leaf_step = degrees[s] >= 2 and any(degrees[v] == 1 for v in nbrs)
         sources.append((s, int(leaf_step)))
     return sources
@@ -350,30 +348,34 @@ def _sweep_sources(g: Graph) -> list[tuple[int, int]]:
 
 def _regular_sweep(g: Graph) -> tuple[Optional[int], int]:
     """Graph._sweep of a d-regular graph with at least one vertex, with no
-    BFS per vertex.
+    BFS per vertex.  Every vertex weighs d - 1, so W is (e + 1)(d - 1) with a
+    floor of 0, e the largest eccentricity within a component.  For d <= 2
+    each component is a cycle, an edge or a point, whose vertices share one
+    eccentricity: e is the largest depth of the component pass."""
+    d = g.degrees[0]
+    ecc = max(g._components[1]) if d <= 2 else _reach_eccentricity(g)
+    return (ecc if is_connected(g) else None), max(0, (ecc + 1) * (d - 1))
 
-    Every vertex weighs d - 1, so a shortest path on k + 1 vertices weighs
-    (k + 1)(d - 1), and W is (e + 1)(d - 1) with a floor of 0, where e is the
-    largest eccentricity within a component.
 
-    e comes from reach sets grown one BFS level per round, as big-int
-    bitsets (the bit-parallel multi-source BFS of Then et al., PVLDB 8(4),
-    2014).  Targets are taken _REACH_BLOCK at a time: after k rounds, bit i
-    of reach[v] is set when target lo + i is within k steps of v, and a round
+def _reach_eccentricity(g: Graph) -> int:
+    """The largest eccentricity e within a component, from reach sets grown
+    one BFS level per round, as big-int bitsets (the bit-parallel
+    multi-source BFS of Then et al., PVLDB 8(4), 2014).
+
+    Targets are taken _REACH_BLOCK at a time: after k rounds, bit i of
+    reach[v] is set when target lo + i is within k steps of v, and a round
     sets reach[v] |= reach[w] for every neighbour w, from the sets of the
     round before.  A vertex whose set holds the whole block drops out.  A
     set that does not grow in one round may still grow in a later one (when
     no target lies at that distance), so only a round in which no set grows
-    ends the block early; the vertices left then miss a target, so the graph
-    is disconnected.  The last round in which a set grew is the largest
-    distance from a target of the block within its component, and the
-    largest over the blocks is e.  Cost: about e * 2|E| ORs per block,
-    against _REACH_BLOCK (|V| + 2|E|) list steps for a BFS from each of its
-    targets.
+    ends the block early (the vertices left miss a target in another
+    component).  The last round in which a set grew is the largest distance
+    from a target of the block within its component.  Cost: about e * 2|E|
+    ORs per block, against _REACH_BLOCK (|V| + 2|E|) list steps for a BFS
+    from each of its targets.
     """
     n = g.vertex_count
     adjacency = g.adjacency
-    connected = True
     ecc = 0
     for lo in range(0, n, _REACH_BLOCK):
         width = min(_REACH_BLOCK, n - lo)
@@ -391,13 +393,12 @@ def _regular_sweep(g: Graph) -> tuple[Optional[int], int]:
                     r |= reach[w]
                 grown[v] = r
             if grown == reach:  # a fixpoint short of the whole block
-                connected = False
                 break
             rounds += 1
             reach = grown
             active = [v for v in active if reach[v] != full]
         ecc = max(ecc, rounds)
-    return (ecc if connected else None), max(0, (ecc + 1) * (g.degrees[0] - 1))
+    return ecc
 
 
 def diameter(g: Graph) -> Optional[int]:

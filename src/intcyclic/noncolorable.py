@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import tree_m
-from .graphs import (Graph, GraphError, bfs, is_tree, leaves, make_kstar, make_tree_hat,
-                     metrics)
+from .graphs import (Graph, GraphError, is_bipartite, is_tree, leaves, make_kstar,
+                     make_tree_hat, metrics)
 
 NONCOLORABLE = "graph admits no interval cyclic coloring"
 
@@ -66,12 +66,10 @@ class Certificate:
 
 
 def _all_leaf_distances_even(tree: Graph) -> bool:
-    # in a tree d(a, b) has the parity of dist(s, a) + dist(s, b) for any s,
-    # so one walk from a leaf settles every pair of leaves
-    leaf_set = leaves(tree)
-    dist = [-1] * tree.vertex_count
-    bfs(tree, leaf_set[0], dist)
-    return all(dist[v] % 2 == 0 for v in leaf_set)
+    # in a tree d(a, b) has the parity of depth(a) + depth(b) for the BFS
+    # depths from any one vertex, so the component pass settles every pair
+    depth = tree._components[1]
+    return len({depth[v] % 2 for v in leaves(tree)}) == 1
 
 
 def build_certified_tree_hat(tree: Graph) -> tuple[Graph, Certificate]:
@@ -95,7 +93,7 @@ def build_certified_tree_hat(tree: Graph) -> tuple[Graph, Certificate]:
     passed = all(p.passed for p in premises)
     notes = []
     if passed and _all_leaf_distances_even(tree):
-        if not metrics(hat).is_bipartite:  # even leaf distances force this
+        if not is_bipartite(hat):  # even leaf distances force this
             raise RuntimeError("even leaf distances but apex graph not bipartite")
         notes.append("all leaf distances even; the emitted graph is bipartite")
     cert = Certificate(RULE_TREE_HAT, premises,

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Optional
 from . import bounds as bounds_mod
 from . import noncolorable as nc
 from .coloring import EdgeColoring, validate_cyclic
-from .graphs import Graph, bfs, metrics
+from .graphs import Graph, bfs, first_twins, metrics
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -150,18 +150,14 @@ def _twin_links(g: Graph) -> list[int]:
     vertex a (the first maximum-degree vertex), which fill the first deg(a)
     positions with their far endpoints in ascending order, as in
     g.adjacency[a].  Entry p is the latest earlier position whose far
-    endpoint is a twin of position p's (the same open or the same closed
-    neighbourhood), or -1; trailing -1 entries are dropped."""
-    deg = g.degrees
-    adj = g.adjacency
+    endpoint is a twin of position p's (see graphs.first_twins), or -1;
+    trailing -1 entries are dropped."""
+    star = g.adjacency[g.degrees.index(max(g.degrees))]
+    last: dict[int, int] = {}  # first vertex of a twin class -> latest position
     links: list[int] = []
-    # one dict serves both keys: an open neighbourhood N(b) never equals a
-    # closed one N[b'] (b' in N(b) would put b in N[b'] = N(b))
-    last: dict[tuple[int, ...], int] = {}
-    for p, b in enumerate(adj[deg.index(max(deg))]):
-        closed = tuple(sorted(adj[b] + (b,)))
-        links.append(last.get(adj[b], last.get(closed, -1)))
-        last[adj[b]] = last[closed] = p
+    for p, first in enumerate(first_twins(g, star)):
+        links.append(last.get(first, -1))
+        last[first] = p
     while links and links[-1] < 0:
         links.pop()
     return links

@@ -8,7 +8,9 @@ shortest paths by listing every shortest path, canonical forms by trying
 every vertex permutation or, for trees, every root, and the tree path metric
 by walking the path.  reference_decide is the backtracking kernel as it stood
 before the twin-order cut, kept verbatim as the baseline that the package's
-search must agree with.
+search must agree with.  sweep_sources_by_keys and twin_links_by_keys are the
+two neighbourhood-key loops that the sweep and the twin order ran before both
+read one twin rule; first_twins_by_definition compares neighbourhood sets.
 """
 
 from __future__ import annotations
@@ -236,6 +238,64 @@ def tree_lp(tree, u, v):
         path.add(x)
     off = sum(1 for a, b in edges if (a in path) != (b in path))
     return len(path) - 1 + off
+
+
+def _degrees_and_adjacency(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [len(a) for a in adj], [tuple(sorted(a)) for a in adj]
+
+
+def first_twins_by_definition(n, edges, vertices):
+    """For each vertex v of the list, the first vertex u of the list with
+    N(u) = N(v) or N[u] = N[v] (v itself when no earlier one has)."""
+    open_ = [set() for _ in range(n)]
+    for u, v in edges:
+        open_[u].add(v)
+        open_[v].add(u)
+    closed = [open_[v] | {v} for v in range(n)]
+    return [next(u for u in vertices if open_[u] == open_[v] or closed[u] == closed[v])
+            for v in vertices]
+
+
+def sweep_sources_by_keys(n, edges):
+    """The sweep's sources as chosen before the twin rule had one owner: skip
+    a leaf whose neighbour has degree >= 2, then any vertex whose open or
+    closed neighbourhood key is in the set of keys of the swept sources."""
+    degrees, adjacency = _degrees_and_adjacency(n, edges)
+    seen = set()
+    sources = []
+    for s in range(n):
+        nbrs = adjacency[s]
+        if degrees[s] == 1 and degrees[nbrs[0]] >= 2:
+            continue
+        closed = tuple(sorted(nbrs + (s,)))
+        if nbrs in seen or closed in seen:
+            continue
+        seen.add(nbrs)
+        seen.add(closed)
+        leaf_step = degrees[s] >= 2 and any(degrees[v] == 1 for v in nbrs)
+        sources.append((s, int(leaf_step)))
+    return sources
+
+
+def twin_links_by_keys(n, edges):
+    """The search's twin links as built before the twin rule had one owner:
+    on the star of the first maximum-degree vertex, each position links to
+    the latest earlier position with the same open or closed neighbourhood
+    key, or -1, with trailing -1 entries dropped (n >= 1)."""
+    deg, adj = _degrees_and_adjacency(n, edges)
+    links = []
+    last = {}
+    for p, b in enumerate(adj[deg.index(max(deg))]):
+        closed = tuple(sorted(adj[b] + (b,)))
+        links.append(last.get(adj[b], last.get(closed, -1)))
+        last[adj[b]] = last[closed] = p
+    while links and links[-1] < 0:
+        links.pop()
+    return links
 
 
 def _reference_allowed(mask, d, t):

@@ -21,7 +21,7 @@ from intcyclic import (
     make_tree_hat,
     metrics,
 )
-from intcyclic import graphs
+from intcyclic import graphs, solver
 from intcyclic.graphs import is_tree, leaves
 
 import oracles
@@ -419,17 +419,117 @@ class TestRegularSweep:
         monkeypatch.setattr(graphs, "_sweep_sources", swept)
         assert g._sweep == graphs._regular_sweep(g)
 
-    def test_large_diameter_keeps_the_bfs_per_source(self, monkeypatch):
-        # at 4 targets a block, C_5 (eccentricity 2) takes the bitsets and
-        # C_7 (eccentricity 3) would run more rounds than they pay for
-        taken = []
-        bitsets = graphs._regular_sweep
+    def test_every_regular_graph_takes_the_regular_branch(self, monkeypatch):
+        # at 4 targets a block, C_7 (eccentricity 3) and the prism C_7 x K_2
+        # (eccentricity 4) are past the old limit of an eccentricity of 2
+        rounds = []
+        bitsets = graphs._reach_eccentricity
         monkeypatch.setattr(graphs, "_REACH_BLOCK", 4)
-        monkeypatch.setattr(graphs, "_regular_sweep",
-                            lambda g: taken.append(g.vertex_count) or bitsets(g))
-        for n in (5, 7):
-            check_sweep(make_cycle(n))
-        assert taken == [5]
+        monkeypatch.setattr(graphs, "_sweep_sources", refuse)
+        monkeypatch.setattr(graphs, "_reach_eccentricity",
+                            lambda g: rounds.append(g.vertex_count) or bitsets(g))
+        for g in (make_cycle(7), prism(7)):
+            check_regular_sweep(g, widths=())
+        assert rounds == [14]
+
+
+def refuse(g):
+    raise AssertionError("the all-sources sweep ran a BFS per source")
+
+
+def refuse_bitsets(g):
+    raise AssertionError("a graph of degree 2 or less ran a bitset round")
+
+
+def prism(n):
+    """C_n x K_2: two n-cycles joined by a perfect matching, 3-regular."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(n + i, n + (i + 1) % n) for i in range(n)]
+    return Graph(2 * n, tuple(edges + [(i, n + i) for i in range(n)]))
+
+
+def cycles(*lengths):
+    """Disjoint cycles of the given lengths, vertices numbered in order."""
+    edges, base = [], 0
+    for m in lengths:
+        edges += [(base + u, base + v) for u, v in circulant(m, {1})]
+        base += m
+    return Graph(base, tuple(edges))
+
+
+class TestLowDegreeRegular:
+    """Cycles, matchings and isolated vertices read their eccentricity off
+    the component pass: no BFS per source and no bitset round."""
+
+    @pytest.mark.parametrize("g", [make_cycle(3), make_cycle(8), make_cycle(25),
+                                   cycles(3, 4), cycles(9, 4, 6), cycles(5, 5, 12),
+                                   matching(1), matching(4), Graph(1, ()), Graph(6, ())],
+                             ids=["C3", "C8", "C25", "C3+C4", "C9+C4+C6", "C5+C5+C12",
+                                  "K2", "4K2", "K1", "6K1"])
+    def test_against_oracles(self, monkeypatch, g):
+        monkeypatch.setattr(graphs, "_sweep_sources", refuse)
+        monkeypatch.setattr(graphs, "_reach_eccentricity", refuse_bitsets)
+        check_regular_sweep(g, widths=())
+
+    def test_long_cycle(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_sweep_sources", refuse)
+        monkeypatch.setattr(graphs, "_reach_eccentricity", refuse_bitsets)
+        g = make_cycle(200000)
+        assert (graphs.diameter(g), graphs.heaviest_shortest_path(g)) == (100000, 100001)
+
+
+class TestComponentPass:
+    @pytest.mark.parametrize("g,components", [
+        (Graph(0, ()), 0),
+        (Graph(4, ((0, 1), (2, 3))), 2),
+        (make_gdn(4, 5), 1),
+        (cycles(3, 4, 5), 3),
+        (prism(5), 1),
+        (Graph(7, ((0, 1), (1, 2), (4, 5))), 4),
+        (make_hub_tree(3, 2), 1),
+    ], ids=["empty", "2K2", "gdn-4-5", "C3+C4+C5", "prism5", "P3+K2+2K1", "hub-tree"])
+    def test_one_bfs_per_component(self, monkeypatch, g, components):
+        walks = []
+        bfs = graphs.bfs
+        monkeypatch.setattr(graphs, "bfs", lambda g, s, dist: walks.append(s) or bfs(g, s, dist))
+        assert metrics(g).components == components
+        assert len(walks) == components
+        for read in (graphs.is_connected, graphs.is_bipartite, is_tree, metrics):
+            read(g)
+        assert len(walks) == components
+
+
+class TestTwins:
+    @given(small_graphs(), st.data())
+    def test_first_twins_by_definition(self, g, data):
+        order = data.draw(st.permutations(range(g.vertex_count)))
+        vertices = order[:data.draw(st.integers(0, g.vertex_count))]
+        assert graphs.first_twins(g, vertices) == \
+            oracles.first_twins_by_definition(g.vertex_count, g.edges, vertices)
+
+    @pytest.mark.parametrize("g,first", [
+        (Graph(0, ()), []),
+        (Graph(3, ()), [0, 0, 0]),  # isolated vertices are open twins
+        (make_path(2), [0, 0]),  # closed twins
+        (make_path(4), [0, 1, 2, 3]),
+        (make_complete_tripartite(1, 2, 3), [0, 1, 1, 3, 3, 3]),
+        (make_complete(4), [0, 0, 0, 0]),
+    ], ids=["empty", "3K1", "K2", "P4", "K1-2-3", "K4"])
+    def test_first_twins(self, g, first):
+        assert graphs.first_twins(g, range(g.vertex_count)) == first
+
+    def check_against_key_loops(self, g):
+        n, edges = g.vertex_count, g.edges
+        assert graphs._sweep_sources(g) == oracles.sweep_sources_by_keys(n, edges)
+        if n:
+            assert solver._twin_links(g) == oracles.twin_links_by_keys(n, edges)
+
+    def test_atlas(self, atlas):
+        for g in atlas:
+            self.check_against_key_loops(g)
+
+    @given(graphs_with_leaves_and_twins())
+    def test_graphs_with_leaves_and_twins(self, g):
+        self.check_against_key_loops(g)
 
 
 class TestJson:
