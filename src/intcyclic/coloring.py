@@ -46,8 +46,8 @@ class EdgeColoring:
         if not _is_int(t) or not isinstance(colors, list) \
                 or not all(_is_int(c) for c in colors):
             raise ValueError("'t' must be an int and 'colors' a list of ints")
-        # every color is used by some edge, so t <= |E| <= MAX_EDGE_COUNT; a
-        # larger t would only cost one color-unused violation per color
+        # every color is used by some edge, so a valid coloring has
+        # t <= |E| <= MAX_EDGE_COUNT; a larger t can only be invalid
         if t > MAX_EDGE_COUNT:
             raise ValueError(f"'t' {t} exceeds the limit of {MAX_EDGE_COUNT}")
         return cls(t, tuple(colors))
@@ -93,6 +93,7 @@ class Violation:
     vertex: Optional[int] = None
     color: Optional[int] = None
     edge: Optional[tuple[int, int]] = None
+    last: Optional[int] = None  # a color-unused run's final color, when not `color`
 
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind}
@@ -100,6 +101,8 @@ class Violation:
             d["vertex"] = self.vertex
         if self.color is not None:
             d["color"] = self.color
+        if self.last is not None:
+            d["last"] = self.last
         if self.edge is not None:
             d["edge"] = list(self.edge)
         return d
@@ -191,7 +194,6 @@ def _validate(g: Graph, coloring: EdgeColoring, cyclic: bool) -> ValidationResul
             bad_edges.add(i)
             violations.append(Violation("color-out-of-range", edge=g.edges[i], color=c))
 
-    used: set[int] = set()
     for v in range(g.vertex_count):
         seen: set[int] = set()
         clashed: set[int] = set()
@@ -204,7 +206,6 @@ def _validate(g: Graph, coloring: EdgeColoring, cyclic: bool) -> ValidationResul
                 clashed.add(c)
                 violations.append(Violation("not-proper", vertex=v, color=c))
             seen.add(c)
-            used.add(c)
         if clashed or touches_bad:
             continue  # spectrum classification is meaningless here
         s = sorted(seen)
@@ -215,8 +216,10 @@ def _validate(g: Graph, coloring: EdgeColoring, cyclic: bool) -> ValidationResul
             if not is_integer_interval(s):
                 violations.append(Violation("spectrum-not-interval", vertex=v))
 
-    for c in range(1, t + 1):
-        if c not in used:
-            violations.append(Violation("color-unused", color=c))
+    # one color-unused violation per gap between used colors, with 0 and
+    # t + 1 as the ends: the cost follows |E|, not t
+    used = [0, *sorted({c for c in coloring.colors if 1 <= c <= t}), t + 1]
+    violations += [Violation("color-unused", color=a + 1, last=b - 1 if b > a + 2 else None)
+                   for a, b in zip(used, used[1:]) if b > a + 1]
 
     return ValidationResult(tuple(violations))

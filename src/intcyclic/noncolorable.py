@@ -7,6 +7,10 @@ M, and an odd clique carrying a pendant hub with m leaves is non-colorable
 for clique parameter n >= 2 once m >= 6n (with the (n=2, m=11) pair certified
 by a separate counting argument).  Certificate premises are always recomputed
 from the emitted graph, never trusted from constructor parameters.
+
+`match_analytic` recognizes both shapes in linear time from degree and edge
+counts; it deletes only a vertex whose degree and neighbours' degrees fit an
+apex (certifying a tree-hat then runs the tree's sweep).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional
 
 from .bounds import tree_m
 from .graphs import (Graph, GraphError, is_bipartite, is_tree, leaves, make_kstar,
-                     make_tree_hat, metrics)
+                     make_tree_hat)
 
 NONCOLORABLE = "graph admits no interval cyclic coloring"
 
@@ -108,30 +112,19 @@ def detect_kstar(g: Graph) -> Optional[tuple[int, int]]:
     pendant leaves, or None."""
     pendants = [v for v in range(g.vertex_count) if g.degrees[v] == 1]
     m = len(pendants)
-    if m < 1:
-        return None
     hubs = {g.adjacency[p][0] for p in pendants}
     if len(hubs) != 1:
         return None
     hub = hubs.pop()
     if g.degrees[hub] != m + 1:
         return None
-    anchors = [v for v in g.adjacency[hub] if g.degrees[v] != 1]
-    if len(anchors) != 1:
+    # the hub's m + 1 edges reach its m pendants and one other vertex, and a
+    # pendant has no other edge, so every other edge joins two of the k
+    # remaining vertices; k(k-1)/2 of them make those k a clique
+    k = g.vertex_count - m - 1
+    if k < 3 or k % 2 == 0 or g.edge_count != k * (k - 1) // 2 + 1 + m:
         return None
-    clique = [v for v in range(g.vertex_count) if v != hub and v not in pendants]
-    k = len(clique)
-    if k < 3 or k % 2 == 0:
-        return None
-    neigh = [set(a) for a in g.adjacency]
-    for i, u in enumerate(clique):
-        for v in clique[i + 1:]:
-            if v not in neigh[u]:
-                return None
-    n = (k - 1) // 2
-    if g.edge_count != k * (k - 1) // 2 + 1 + m:
-        return None
-    return n, m
+    return (k - 1) // 2, m
 
 
 def _kstar_certificate(n: int, m: int, g: Graph) -> Certificate:
@@ -148,7 +141,7 @@ def _kstar_certificate(n: int, m: int, g: Graph) -> Certificate:
         premises.append(Premise("pendant-count", m, "== 11 (special counting case)", True))
     else:
         premises.append(Premise("pendant-count", m, f">= 6n = {6 * n}", m >= 6 * n))
-    delta = metrics(g).max_degree
+    delta = g.max_degree()
     want_delta = max(m + 1, 2 * n + 1)
     premises.append(Premise("max-degree", delta, f"== max(m+1, 2n+1) = {want_delta}",
                             delta == want_delta))
@@ -161,8 +154,6 @@ def build_certified_kstar(n: int, m: int) -> tuple[Graph, Certificate]:
     """Build the odd clique with pendant hub and certify it when n >= 2 and
     m >= 6n, or for the special pair (2, 11); otherwise return a rejection
     certificate that makes no claim."""
-    if n < 1 or m < 1:
-        raise ValueError("needs n, m >= 1")
     g = make_kstar(n, m)
     return g, _kstar_certificate(n, m, g)
 
@@ -176,7 +167,7 @@ def noncolorable_for_degree(d: int) -> tuple[Graph, Certificate]:
     g, cert = build_certified_kstar(2, d - 1)
     if not cert.passed:
         raise RuntimeError("certification unexpectedly failed")
-    if metrics(g).max_degree != d:
+    if g.max_degree() != d:
         raise RuntimeError("constructed graph has the wrong max degree")
     return g, cert
 
@@ -201,16 +192,21 @@ def match_analytic(g: Graph) -> Optional[Certificate]:
         if cert.passed:
             return cert
     # g - u keeps |V| - 1 vertices and |E| - deg(u) edges, so it can be a
-    # tree only when deg(u) = |E| - |V| + 2; no other vertex is deleted
+    # tree only when deg(u) = |E| - |V| + 2, and the rule needs 2(M+2) >= 6
+    # leaves.  The degrees carry soundness: when every vertex has degree >= 2
+    # and every neighbour of u degree 2, the leaves of the tree g - u are
+    # exactly N(u), so g is its hat; a hat that passes meets all three.  At
+    # most two vertices qualify: the excesses deg - 2 sum to 2|E| - 2|V|,
+    # twice the apex's
     apex_degree = g.edge_count - g.vertex_count + 2
+    degrees = g.degrees
+    if apex_degree < 6 or min(degrees, default=0) < 2:
+        return None
     for u in range(g.vertex_count):
-        if g.degrees[u] != apex_degree:
+        if degrees[u] != apex_degree or any(degrees[v] != 2 for v in g.adjacency[u]):
             continue
         rest = _delete_vertex(g, u)
-        if not is_tree(rest) or rest.vertex_count < 2:
-            continue
-        apex_neighbors = {v if v < u else v - 1 for v in g.adjacency[u]}
-        if apex_neighbors != set(leaves(rest)):
+        if not is_tree(rest):
             continue
         _, cert = build_certified_tree_hat(rest)
         if cert.passed:

@@ -297,9 +297,8 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
 
 def search_range(g: Graph, t_hi: Optional[int] = None) -> tuple[int, int]:
     """The color-count range a complete decision must cover: from max degree
-    (2 suffices for degree-2 graphs) up to the best analytic upper bound."""
-    delta = g.max_degree()
-    lo = 2 if delta == 2 else max(1, delta)
+    up to the best analytic upper bound."""
+    lo = max(1, g.max_degree())
     hi = bounds_mod.report(g).best_upper
     if t_hi is not None:
         hi = min(hi, t_hi)

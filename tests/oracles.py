@@ -11,6 +11,8 @@ before the twin-order cut, kept verbatim as the baseline that the package's
 search must agree with.  sweep_sources_by_keys and twin_links_by_keys are the
 two neighbourhood-key loops that the sweep and the twin order ran before both
 read one twin rule; first_twins_by_definition compares neighbourhood sets.
+kstar_by_pairs is the kstar recognizer as it stood before it counted edges:
+it tests every pair of the would-be clique for adjacency.
 """
 
 from __future__ import annotations
@@ -246,6 +248,39 @@ def _degrees_and_adjacency(n, edges):
         adj[u].append(v)
         adj[v].append(u)
     return [len(a) for a in adj], [tuple(sorted(a)) for a in adj]
+
+
+def kstar_by_pairs(n, edges):
+    """(q, m) when the graph is the (2q+1)-clique plus a hub on one clique
+    vertex carrying m pendant leaves, else None: finds the pendants, their
+    one hub and its one non-pendant neighbour, then tests every pair of the
+    remaining vertices for adjacency."""
+    degrees, adjacency = _degrees_and_adjacency(n, edges)
+    pendants = [v for v in range(n) if degrees[v] == 1]
+    m = len(pendants)
+    if m < 1:
+        return None
+    hubs = {adjacency[p][0] for p in pendants}
+    if len(hubs) != 1:
+        return None
+    hub = hubs.pop()
+    if degrees[hub] != m + 1:
+        return None
+    anchors = [v for v in adjacency[hub] if degrees[v] != 1]
+    if len(anchors) != 1:
+        return None
+    clique = [v for v in range(n) if v != hub and v not in pendants]
+    k = len(clique)
+    if k < 3 or k % 2 == 0:
+        return None
+    neigh = [set(a) for a in adjacency]
+    for i, u in enumerate(clique):
+        for v in clique[i + 1:]:
+            if v not in neigh[u]:
+                return None
+    if len(edges) != k * (k - 1) // 2 + 1 + m:
+        return None
+    return (k - 1) // 2, m
 
 
 def first_twins_by_definition(n, edges, vertices):

@@ -155,6 +155,15 @@ class TestColorCheck:
         kinds = {v["kind"] for v in json.loads(stdout)["violations"]}
         assert "color-unused" in kinds
 
+    def test_check_output_bounded_for_huge_t(self, tmp_path, capsys):
+        g_path, c_path = tmp_path / "g.json", tmp_path / "c.json"
+        run(capsys, "gen", "path", "2", "-o", str(g_path))
+        c_path.write_text('{"t": 1000000, "colors": [1]}\n')
+        code, stdout, _ = run(capsys, "check", "-g", str(g_path), "-c", str(c_path))
+        assert code == 1 and len(stdout) < 1024
+        assert json.loads(stdout)["violations"] == [
+            {"kind": "color-unused", "color": 2, "last": 1000000}]
+
     def test_check_wrong_length_is_format_error(self, tmp_path, capsys):
         g_path, c_path = tmp_path / "g.json", tmp_path / "c.json"
         run(capsys, "gen", "cycle", "4", "-o", str(g_path))

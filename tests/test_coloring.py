@@ -156,7 +156,12 @@ class TestValidators:
     def test_all_violations_reported(self):
         g = make_cycle(4)
         res = validate_cyclic(g, EdgeColoring(9, (1, 1, 7, 3)))
-        assert len([v for v in res.violations if v.kind == "color-unused"]) >= 5
+        runs = [v.to_dict() for v in res.violations if v.kind == "color-unused"]
+        assert runs == [{"kind": "color-unused", "color": 2},
+                        {"kind": "color-unused", "color": 4, "last": 6},
+                        {"kind": "color-unused", "color": 8, "last": 9}]
+        covered = {c for r in runs for c in range(r["color"], r.get("last", r["color"]) + 1)}
+        assert covered == {2, 4, 5, 6, 8, 9}
         assert "not-proper" in res.kinds()
 
     def test_interval_valid_implies_cyclic_valid(self):

@@ -1,7 +1,11 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from intcyclic import (
     EdgeColoring,
+    Graph,
     GraphError,
     make_complete,
     make_complete_bipartite,
@@ -12,7 +16,9 @@ from intcyclic import (
     make_tree_hat,
     metrics,
 )
+from intcyclic import graphs
 from intcyclic import noncolorable as nc
+from intcyclic.cli import main
 from intcyclic.graphs import all_trees_up_to, is_tree, leaves
 from intcyclic.noncolorable import (
     build_certified_kstar,
@@ -22,6 +28,8 @@ from intcyclic.noncolorable import (
     noncolorable_for_degree,
 )
 from intcyclic.solver import certify_noncolorable
+
+import oracles
 
 
 class TestTreeHatRule:
@@ -110,9 +118,10 @@ class TestDetection:
 
 
 def match_analytic_every_apex(g):
-    """match_analytic without the apex degree filter: every vertex is
-    deleted and the rest tested for a tree."""
-    detected = detect_kstar(g)
+    """match_analytic without the degree filters, and kstars found by
+    pairwise adjacency: every vertex is deleted, the rest tested for a tree
+    and its leaves compared with the deleted vertex's neighbours."""
+    detected = oracles.kstar_by_pairs(g.vertex_count, g.edges)
     if detected is not None:
         cert = nc._kstar_certificate(*detected, g)
         if cert.passed:
@@ -138,9 +147,108 @@ GEN_NONCOLORABLE = ([make_kstar(n, m) for n in (1, 2, 3) for m in (1, 5, 6 * n, 
                     + [make_tree_hat(t) for t in all_trees_up_to(7, 2)])
 
 
+def absent_edges(g):
+    return sorted(set(combinations(range(g.vertex_count), 2)) - set(g.edges))
+
+
+CYCLES = [make_cycle(n) for n in range(3, 40)]
+UNICYCLIC = [Graph(t.vertex_count, t.edges + (e,))
+             for t in all_trees_up_to(7, 3) for e in absent_edges(t)]
+
+
+def random_graphs():
+    rng = random.Random(11)
+    out = []
+    for _ in range(3000):
+        n, p = rng.randint(1, 12), rng.random()
+        out.append(Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p)))
+    return out
+
+
+def kstar_variants(ns, ms):
+    """Each kstar alone, with each edge removed, with random edges added and
+    with an isolated vertex added."""
+    rng = random.Random(11)
+    out = []
+    for n in ns:
+        for m in ms:
+            k = make_kstar(n, m)
+            absent = absent_edges(k)
+            out.append(k)
+            out += [Graph(k.vertex_count, k.edges[:i] + k.edges[i + 1:])
+                    for i in range(k.edge_count)]
+            out += [Graph(k.vertex_count, k.edges + tuple(rng.sample(absent, rng.randint(1, 3))))
+                    for _ in range(5)]
+            out.append(Graph(k.vertex_count + 1, k.edges))
+    return out
+
+
+def hub_hat_variants(sizes):
+    """Each hub tree's hat alone, with the apex also on a hub and with the
+    apex missing a leaf."""
+    out = []
+    for h in sizes:
+        for l in sizes:
+            hat = make_tree_hat(make_hub_tree(h, l))
+            apex = hat.vertex_count - 1
+            out += [hat, Graph(hat.vertex_count, hat.edges + ((1, apex),)),  # 1 is a hub
+                    Graph(hat.vertex_count, tuple(e for e in hat.edges if e != (apex - 1, apex)))]
+    return out
+
+
+def near_hats():
+    """Two near-tree-hats on the hub tree that no rule certifies: B, whose
+    apex also touches a hub, and C, whose apex misses one leaf.  Deleting the
+    apex leaves the hub tree, whose leaves are not the apex's neighbours."""
+    _, b, c = hub_hat_variants((10,))
+    return {"B": b, "C": c}
+
+
+SMALL_TREE_HATS = [make_tree_hat(t) for t in all_trees_up_to(9, 2)]
+
+
+class TestCounting:
+    def test_detect_kstar_matches_pairwise_oracle(self):
+        for g in (random_graphs() + kstar_variants(range(1, 5), [*range(1, 14), 24, 25])
+                  + SMALL_TREE_HATS + hub_hat_variants(range(1, 11)) + CYCLES):
+            assert detect_kstar(g) == oracles.kstar_by_pairs(g.vertex_count, g.edges), g.edges
+
+    def test_detect_kstar_matches_pairwise_oracle_on_atlas(self, atlas):
+        for g in atlas:
+            assert detect_kstar(g) == oracles.kstar_by_pairs(g.vertex_count, g.edges), g.edges
+
+    @pytest.mark.parametrize("which", ["B", "C"])
+    def test_near_hats_rejected(self, which):
+        g = near_hats()[which]
+        assert match_analytic(g) is None
+        assert match_analytic_every_apex(g) is None
+
+    @pytest.mark.parametrize("n", [3, 6, 7, 40, 20000])
+    def test_cycles_delete_no_vertex(self, n, monkeypatch):
+        monkeypatch.setattr(nc, "_delete_vertex",
+                            lambda g, u: pytest.fail(f"deleted vertex {u}"))
+        assert match_analytic(make_cycle(n)) is None
+
+    def test_kstar_runs_no_sweep(self, tmp_path, monkeypatch, capsys):
+        # every path to metrics() or the all-pairs sweep reads these two
+        read = []
+        for name in ("_metrics", "_sweep"):
+            compute = graphs.Graph.__dict__[name].func
+            monkeypatch.setattr(graphs.Graph, name, property(
+                lambda g, name=name, compute=compute: read.append(name) or compute(g)))
+        g, cert = build_certified_kstar(2, 40)
+        assert cert.passed and certify_noncolorable(g).passed
+        path = tmp_path / "ks.json"
+        path.write_text(g.to_json())
+        assert main(["certify", "-g", str(path)]) == 1
+        assert '"rule":"kstar"' in capsys.readouterr().out
+        assert read == []
+
+
 class TestApexFilter:
     def test_certificates_unchanged(self):
-        for g in GEN_NONCOLORABLE:
+        for g in (GEN_NONCOLORABLE + CYCLES + UNICYCLIC + kstar_variants((1, 2), range(1, 14))
+                  + SMALL_TREE_HATS + hub_hat_variants((2, 7, 10))):
             ours, ref = match_analytic(g), match_analytic_every_apex(g)
             assert (ours and ours.to_dict()) == (ref and ref.to_dict()), g.edges
 
