@@ -187,8 +187,6 @@ def tree_m(tree: Graph) -> int:
 
 def tree_feasible_set(tree: Graph) -> tuple[int, ...]:
     """The gap-free interval [max_degree, tree_m] of usable color counts."""
-    if not is_tree(tree) or tree.vertex_count < 2:
-        raise GraphError("input must be a tree with at least 2 vertices")
     return tuple(range(tree.max_degree(), tree_m(tree) + 1))
 
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .graphs import MAX_EDGE_COUNT, Graph, _is_int, canonical_json
+from .graphs import MAX_EDGE_COUNT, Graph, canonical_json
 
 
 def mod_color(x: int, t: int) -> int:
@@ -22,15 +22,27 @@ def mod_color(x: int, t: int) -> int:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Colors in [1, t], one per edge in the graph's canonical edge order."""
+    """Colors in [1, t], one per edge in the graph's canonical edge order.
+
+    The constructor owns the invariants: t in [1, MAX_EDGE_COUNT] and every
+    color an int, exactly (no bool, no float); from_dict checks only the JSON
+    shape, and whether the colors fit a graph is the validator's question.
+    """
 
     t: int
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.t < 1:
+        if type(self.t) is not int or self.t < 1:
             raise ValueError("t must be a positive integer")
-        object.__setattr__(self, "colors", tuple(self.colors))
+        # every color is used by some edge, so a valid coloring has
+        # t <= |E| <= MAX_EDGE_COUNT; a larger t can only be invalid
+        if self.t > MAX_EDGE_COUNT:
+            raise ValueError(f"'t' {self.t} exceeds the limit of {MAX_EDGE_COUNT}")
+        colors = tuple(self.colors)
+        if not all(type(c) is int for c in colors):
+            raise ValueError("colors must be ints")
+        object.__setattr__(self, "colors", colors)
 
     def to_dict(self) -> dict:
         return {"t": self.t, "colors": list(self.colors)}
@@ -42,15 +54,9 @@ class EdgeColoring:
     def from_dict(cls, d: dict) -> "EdgeColoring":
         if not isinstance(d, dict) or "t" not in d or "colors" not in d:
             raise ValueError("coloring object needs 't' and 'colors'")
-        t, colors = d["t"], d["colors"]
-        if not _is_int(t) or not isinstance(colors, list) \
-                or not all(_is_int(c) for c in colors):
-            raise ValueError("'t' must be an int and 'colors' a list of ints")
-        # every color is used by some edge, so a valid coloring has
-        # t <= |E| <= MAX_EDGE_COUNT; a larger t can only be invalid
-        if t > MAX_EDGE_COUNT:
-            raise ValueError(f"'t' {t} exceeds the limit of {MAX_EDGE_COUNT}")
-        return cls(t, tuple(colors))
+        if not isinstance(d["colors"], list):
+            raise ValueError("'colors' must be a list")
+        return cls(d["t"], d["colors"])
 
     @classmethod
     def from_json(cls, text: str) -> "EdgeColoring":

@@ -146,8 +146,6 @@ def color_complete_bipartite_cyclic(m: int, n: int) -> tuple[Graph, EdgeColoring
 def canonical_bipartite_interval(m: int, n: int) -> tuple[Graph, EdgeColoring]:
     """Interval (m+n-1)-coloring of the complete bipartite graph via the
     shifted diagonal i+j-1."""
-    if min(m, n) < 1:
-        raise ValueError("needs m, n >= 1")
     g = make_complete_bipartite(m, n)
     cmap = {_key(i - 1, m + j - 1): i + j - 1
             for i in range(1, m + 1) for j in range(1, n + 1)}
@@ -214,6 +212,7 @@ def hypercube_base_interval(n: int) -> tuple[Graph, EdgeColoring, tuple[int, ...
     # base: the 4-cycle colored 1,2,3,2
     cmap: dict[tuple[int, int], int] = {(0, 1): 1, (1, 3): 2, (2, 3): 3, (0, 2): 2}
     classes = [0, 0, 1, 1]
+    g, coloring = _check_base_step(2, cmap, classes)
     for dim in range(3, n + 1):
         prev = cmap
         half = 1 << (dim - 1)
@@ -227,16 +226,13 @@ def hypercube_base_interval(n: int) -> tuple[Graph, EdgeColoring, tuple[int, ...
         # the matching color extends both endpoint spectra into the same
         # class, so vertex x|half lands in the class of x
         classes = classes + classes
-        _check_base_step(dim, cmap, classes)
-    g = make_hypercube(n)
-    coloring = _coloring_from_map(g, n + 1, cmap)
-    if n == 2:
-        _check_base_step(2, cmap, classes)
+        g, coloring = _check_base_step(dim, cmap, classes)
     return g, coloring, tuple(classes)
 
 
 def _check_base_step(dim: int, cmap: dict[tuple[int, int], int],
-                     classes: list[int]) -> None:
+                     classes: list[int]) -> tuple[Graph, EdgeColoring]:
+    """The dim-cube and its coloring from cmap, checked against the classes."""
     g = make_hypercube(dim)
     coloring = _coloring_from_map(g, dim + 1, cmap)
     res = validate_interval(g, coloring)
@@ -252,6 +248,7 @@ def _check_base_step(dim: int, cmap: dict[tuple[int, int], int],
         if spectrum(g, coloring, v) != want:
             raise RuntimeError(
                 f"cube doubling step dim={dim}: vertex {v} spectrum mismatch")
+    return g, coloring
 
 
 # found once by the exact solver (decide(Q_3, 8)) and frozen; re-validated in
@@ -277,29 +274,23 @@ def color_hypercube_cyclic(n: int) -> tuple[Graph, EdgeColoring]:
         g = make_hypercube(3)
         return g, EdgeColoring(8, _Q3_CYCLIC_8)
     t = 4 * (n - 1)
-    _, base, classes = hypercube_base_interval(n - 2)
-    base_map = {e: c for e, c in zip(make_hypercube(n - 2).edges, base.colors)}
+    base_g, base, classes = hypercube_base_interval(n - 2)
+    base_map = dict(zip(base_g.edges, base.colors))
     # quadrant = (bit0, bit1); shifts follow the quadrant cycle
     # (0,0) -> (0,1) -> (1,1) -> (1,0) -> (0,0)
     shift = {(0, 0): 0, (0, 1): n - 1, (1, 1): 2 * (n - 1), (1, 0): 3 * (n - 1)}
     g = make_hypercube(n)
     cmap = {}
     for u, v in g.edges:
-        b = (u ^ v).bit_length() - 1
-        if b >= 2:
-            q = (u & 1, u >> 1 & 1)
-            cmap[(u, v)] = base_map[_key(u >> 2, v >> 2)] + shift[q]
-            continue
-        cls = classes[u >> 2]  # endpoints share all bits above the flipped one
         qu, qv = (u & 1, u >> 1 & 1), (v & 1, v >> 1 & 1)
-        if {qu, qv} == {(0, 0), (0, 1)}:
-            cmap[(u, v)] = (n - 1) + cls
-        elif {qu, qv} == {(0, 1), (1, 1)}:
-            cmap[(u, v)] = 2 * (n - 1) + cls
-        elif {qu, qv} == {(1, 1), (1, 0)}:
-            cmap[(u, v)] = 3 * (n - 1) + cls
-        else:  # (1,0) -- (0,0)
-            cmap[(u, v)] = 4 * (n - 1) if cls == 0 else 1
+        if qu == qv:
+            cmap[(u, v)] = base_map[_key(u >> 2, v >> 2)] + shift[qu]
+            continue
+        # a matching edge takes the shift of the quadrant that follows the
+        # other on the cycle, plus the class of its endpoints (they share all
+        # bits above the flipped one); on the wrap edge, 0 becomes t
+        later = qv if shift[qv] == (shift[qu] + n - 1) % t else qu
+        cmap[(u, v)] = mod_color(shift[later] + classes[u >> 2], t)
     return g, _coloring_from_map(g, t, cmap)
 
 

@@ -26,9 +26,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
-# largest vertex_count accepted from graph JSON, and largest vertex and edge
-# counts a family generator builds; a larger one is refused before anything
-# is allocated for it
+# largest vertex and edge counts of any Graph, whether it is read from a file
+# or built in code; the generators refuse a larger family before anything is
+# allocated for it, and the constructor before it walks the edge list
 MAX_VERTEX_COUNT = 10**6
 MAX_EDGE_COUNT = 10**6
 
@@ -46,24 +46,41 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph with a canonical (sorted) edge list."""
+    """Immutable simple graph with a canonical (sorted) edge list.
+
+    The constructor owns the invariants: vertex_count in [0, MAX_VERTEX_COUNT];
+    at most MAX_EDGE_COUNT edges, each a pair of ints in range, no loop and no
+    duplicate; labels, if any, vertex_count strings.  Ints are exact (no bool,
+    no float), so every Graph writes a file that from_json reads back;
+    from_dict checks only the JSON shape.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
-            raise GraphError("vertex_count must be nonnegative")
+        n = self.vertex_count
+        if type(n) is not int or n < 0:
+            raise GraphError("vertex_count must be a nonnegative int")
+        if n > MAX_VERTEX_COUNT:
+            raise GraphError(f"'vertex_count' {n} exceeds the limit of {MAX_VERTEX_COUNT}")
+        if len(self.edges) > MAX_EDGE_COUNT:
+            raise GraphError(f"{len(self.edges)} edges exceed the limit of {MAX_EDGE_COUNT}")
         normalized = []
         for e in self.edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise GraphError(f"bad edge entry: {e!r}") from None
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(f"bad edge entry: {e!r}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if not (0 <= u and v < self.vertex_count):
-                raise GraphError(f"edge ({u},{v}) out of range for {self.vertex_count} vertices")
+            if not (0 <= u and v < n):
+                raise GraphError(f"edge ({u},{v}) out of range for {n} vertices")
             normalized.append((u, v))
         normalized.sort()
         for a, b in zip(normalized, normalized[1:]):
@@ -72,8 +89,8 @@ class Graph:
         object.__setattr__(self, "edges", tuple(normalized))
         if self.labels is not None:
             labels = tuple(self.labels)
-            if len(labels) != self.vertex_count:
-                raise GraphError("labels length must equal vertex_count")
+            if len(labels) != n or not all(isinstance(x, str) for x in labels):
+                raise GraphError("'labels' must be vertex_count strings")
             object.__setattr__(self, "labels", labels)
 
     @cached_property
@@ -189,24 +206,10 @@ class Graph:
     def from_dict(cls, d: dict) -> "Graph":
         if not isinstance(d, dict) or "vertex_count" not in d or "edges" not in d:
             raise GraphError("graph object needs 'vertex_count' and 'edges'")
-        n = d["vertex_count"]
-        edges = d["edges"]
-        if not _is_int(n) or not isinstance(edges, list):
-            raise GraphError("'vertex_count' must be an int and 'edges' a list")
-        if n > MAX_VERTEX_COUNT:
-            raise GraphError(f"'vertex_count' {n} exceeds the limit of {MAX_VERTEX_COUNT}")
-        pairs = []
-        for e in edges:
-            if not (isinstance(e, (list, tuple)) and len(e) == 2
-                    and all(_is_int(x) for x in e)):
-                raise GraphError(f"bad edge entry: {e!r}")
-            pairs.append((e[0], e[1]))
-        labels = d.get("labels")
-        if labels is not None:
-            if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
-                raise GraphError("'labels' must be a list of strings")
-            labels = tuple(labels)
-        return cls(n, tuple(pairs), labels)
+        edges, labels = d["edges"], d.get("labels")
+        if not isinstance(edges, list) or not (labels is None or isinstance(labels, list)):
+            raise GraphError("'edges' must be a list, and 'labels' a list when given")
+        return cls(d["vertex_count"], edges, labels)
 
     @classmethod
     def from_json(cls, text: str) -> "Graph":
@@ -236,11 +239,6 @@ class GraphMetrics:
 def canonical_json(obj) -> str:
     """Single canonical serialization used for every file this package writes."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _is_int(x) -> bool:
-    # JSON booleans are ints to isinstance; reject them in the file formats
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import tree_m
-from .graphs import (Graph, GraphError, is_bipartite, is_tree, leaves, make_kstar,
-                     make_tree_hat)
+from .graphs import Graph, is_bipartite, is_tree, leaves, make_kstar, make_tree_hat
 
 NONCOLORABLE = "graph admits no interval cyclic coloring"
 
@@ -82,8 +81,6 @@ def build_certified_tree_hat(tree: Graph) -> tuple[Graph, Certificate]:
     The certificate passes when the recomputed leaf count reaches 2*(M+2);
     otherwise it carries the failed premise and makes no claim either way.
     """
-    if not is_tree(tree) or tree.vertex_count < 2:
-        raise GraphError("input must be a tree with at least 2 vertices")
     hat = make_tree_hat(tree)
     leaf_count = len(leaves(tree))
     m_val = tree_m(tree)

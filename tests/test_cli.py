@@ -437,5 +437,37 @@ class TestBoundsCertifyScanDot:
         assert code == EXPECTED_FORMAT_ERROR and stdout == "" and "exceeds" in err
 
 
+MALFORMED_GRAPHS = [
+    "{not json", "[1, 2]", '{"vertex_count": 2}',
+    '{"vertex_count": true, "edges": []}', '{"vertex_count": 2.0, "edges": []}',
+    '{"vertex_count": "2", "edges": []}', '{"vertex_count": -1, "edges": []}',
+    '{"vertex_count": 2, "edges": {"a": 1}}', '{"vertex_count": 2, "edges": [[0, 1.5]]}',
+    '{"vertex_count": 2, "edges": [[false, true]]}', '{"vertex_count": 3, "edges": [[0]]}',
+    '{"vertex_count": 3, "edges": [[0, 1, 2]]}', '{"vertex_count": 3, "edges": [5]}',
+    '{"vertex_count": 3, "edges": [null]}', '{"vertex_count": 3, "edges": [[1, 1]]}',
+    '{"vertex_count": 3, "edges": [[0, 1], [1, 0]]}', '{"vertex_count": 2, "edges": [[0, 2]]}',
+    '{"vertex_count": 2, "edges": [[0, 1]], "labels": ["a", 1]}',
+    '{"vertex_count": 2, "edges": [[0, 1]], "labels": ["a"]}',
+    '{"vertex_count": 2, "edges": [[0, 1]], "labels": "ab"}',
+]
+MALFORMED_COLORINGS = [
+    "{", "[1]", '{"t": 1}', '{"t": true, "colors": [1]}', '{"t": 1.0, "colors": [1]}',
+    '{"t": 0, "colors": [1]}', '{"t": 1, "colors": {"a": 1}}', '{"t": 2, "colors": [1.0]}',
+    '{"t": 2, "colors": [true]}', '{"t": 2, "colors": ["1"]}',
+    '{"t": 1, "colors": [1, 1]}',  # two colors for one edge
+]
+
+
+@pytest.mark.parametrize("verb,text", [("bounds", t) for t in MALFORMED_GRAPHS]
+                         + [("check", t) for t in MALFORMED_COLORINGS])
+def test_malformed_file_is_format_error(tmp_path, capsys, verb, text):
+    g_path, c_path = tmp_path / "g.json", tmp_path / "c.json"
+    run(capsys, "gen", "path", "2", "-o", str(g_path))
+    (g_path if verb == "bounds" else c_path).write_text(text)
+    code, stdout, _ = run(capsys, verb, "-g", str(g_path),
+                          *(["-c", str(c_path)] if verb == "check" else []))
+    assert code == EXPECTED_FORMAT_ERROR and stdout == ""
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["unknown-verb"]) == EXPECTED_FORMAT_ERROR

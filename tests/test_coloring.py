@@ -14,6 +14,7 @@ from intcyclic import (
 )
 from intcyclic.coloring import mod_color
 from intcyclic.constructions import color_complete_bipartite_cyclic
+from intcyclic.graphs import MAX_EDGE_COUNT
 
 import oracles
 
@@ -221,6 +222,25 @@ def test_coloring_json_round_trip():
 def test_coloring_rejects_bad_t():
     with pytest.raises(ValueError):
         EdgeColoring(0, ())
+
+
+@pytest.mark.parametrize("t,colors", [(True, (1,)), (2, (1.0, 2)), (MAX_EDGE_COUNT + 1, (1,))],
+                         ids=["bool-t", "float-color", "t-over-limit"])
+def test_coloring_refuses_inexact_fields(t, colors):
+    with pytest.raises(ValueError):
+        EdgeColoring(t, colors)
+
+
+@given(st.one_of(st.integers(-1, 4), st.booleans(), st.floats(-1, 4), st.text(max_size=2)),
+       st.lists(st.one_of(st.integers(-1, 4), st.booleans(), st.floats(-1, 4), st.none()),
+                max_size=4))
+def test_every_coloring_that_constructs_reads_back(t, colors):
+    try:
+        col = EdgeColoring(t, tuple(colors))
+    except ValueError:
+        return
+    text = col.to_json()
+    assert EdgeColoring.from_json(text).to_json() == text
 
 
 def test_coloring_file_t_capped_at_edge_limit():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from intcyclic import (
@@ -231,6 +233,42 @@ class TestHypercubeCyclic:
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             color_hypercube_cyclic(1)
+
+
+class TestHypercubeBuilds:
+    """Each cube is built and checked once, where it is made."""
+
+    @staticmethod
+    def built(monkeypatch):
+        dims = []
+
+        def counted(n):
+            dims.append(n)
+            return make_hypercube(n)
+
+        monkeypatch.setattr(constructions, "make_hypercube", counted)
+        return dims
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_base_interval_builds_each_dimension_once(self, monkeypatch, n):
+        dims = self.built(monkeypatch)
+        hypercube_base_interval(n)
+        assert dims == list(range(2, n + 1))
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_cyclic_builds_the_base_dimensions_and_n_once(self, monkeypatch, n):
+        dims = self.built(monkeypatch)
+        color_hypercube_cyclic(n)
+        assert dims == [*range(2, n - 1), n]
+
+    # sha256 prefixes of the coloring JSON, frozen: a rewrite of the
+    # quadrant rule must keep every color
+    @pytest.mark.parametrize("n,digest", [(4, "2520950337effa78"), (5, "8c9c680e464a4bc8"),
+                                          (6, "a911f46d192c744a"), (7, "a17d046837a6b323"),
+                                          (8, "a7e364e053f79948")])
+    def test_cyclic_colors_are_stable(self, n, digest):
+        _, col = color_hypercube_cyclic(n)
+        assert hashlib.sha256(col.to_json().encode()).hexdigest()[:16] == digest
 
 
 class TestSizeLimits:

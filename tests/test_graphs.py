@@ -57,6 +57,22 @@ class TestGraphInvariants:
         with pytest.raises(GraphError):
             Graph(2, ((0, 1),), labels=("a",))
 
+    # each field is an exact int (no bool, no float) or a string, and each
+    # edge a pair: the constructor refuses what the file format refuses
+    @pytest.mark.parametrize("args", [
+        (3, ((0, 1.5),)), (2, ((False, True),)), (True, ()), (3, (5,)), (3, ((0,),)),
+        (2, ((0, 1),), ("a", 1)),
+    ], ids=["float-end", "bool-ends", "bool-count", "int-edge", "short-edge", "int-label"])
+    def test_rejects_inexact_fields(self, args):
+        with pytest.raises(GraphError):
+            Graph(*args)
+
+    def test_rejects_more_edges_than_the_limit(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_EDGE_COUNT", 2)
+        assert Graph(3, ((0, 1), (1, 2))).edge_count == 2
+        with pytest.raises(GraphError, match="limit"):
+            Graph(3, ((0, 1), (1, 2), (0, 2)))
+
     def test_edges_sorted_canonically(self):
         g = Graph(4, ((2, 3), (1, 0), (3, 1)))
         assert g.edges == ((0, 1), (1, 3), (2, 3))
@@ -551,6 +567,23 @@ class TestJson:
             Graph.from_json('{"vertex_count": true, "edges": []}')
         with pytest.raises(GraphError):
             Graph.from_json('{"vertex_count": 2, "edges": [[0, true]]}')
+
+
+# field values of both kinds: ones the file format holds, and ones it does not
+SCALARS = st.one_of(st.integers(-1, 4), st.booleans(), st.floats(-1, 4), st.text(max_size=2),
+                    st.none())
+
+
+@given(SCALARS, st.lists(st.one_of(st.tuples(SCALARS, SCALARS), st.lists(SCALARS, max_size=3),
+                                   SCALARS), max_size=4),
+       st.one_of(st.none(), st.lists(st.one_of(st.text(max_size=2), SCALARS), max_size=4)))
+def test_every_graph_that_constructs_reads_back(vertex_count, edges, labels):
+    try:
+        g = Graph(vertex_count, tuple(edges), labels)
+    except GraphError:
+        return
+    text = g.to_json()
+    assert Graph.from_json(text).to_json() == text
 
 
 class TestTreeEnumeration:
