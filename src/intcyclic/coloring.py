@@ -62,7 +62,7 @@ class EdgeColoring:
     def from_json(cls, text: str) -> "EdgeColoring":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise ValueError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(d)
 

@@ -4,17 +4,20 @@ Vertices are 0-based indices.  Edges are stored as (u, v) pairs with u < v,
 sorted lexicographically; that sorted order is the canonical index space
 every edge-coloring in this package refers to.
 
-Single-source walks go through one helper, bfs(g, src, dist), and one
-component pass per graph (count, and each vertex's depth from the first
-vertex of its component) answers connectivity and bipartiteness.  The
-all-pairs facts, diameter() and heaviest_shortest_path(), come from one
-sweep.  A regular graph reads W off its degree (see _regular_sweep) and its
-largest eccentricity off the component pass at degree <= 2, or off reach
-sets grown as bitsets above that: about diam * 2|E| big-int ORs per block of
-_REACH_BLOCK targets.  Any other graph runs a BFS from every vertex except
-leaves and twins (see first_twins, the one twin rule), whose answers it
-reads off a swept source: at most |V| (|V| + 2|E|) list steps.  All of these
-are cached on the Graph object.  enumerate_trees(n) keeps no memo.
+Every walk goes through one helper, bfs(g, src, dist, f), which fills the
+caller's arrays with each vertex's distance from src and its f, the
+heaviest shortest path from src (vertex weight deg - 1).  One component pass
+per graph (count, and each vertex's depth and f from the first vertex of its
+component) answers connectivity and bipartiteness.  The all-pairs facts,
+diameter() and heaviest_shortest_path(), come from one sweep.  A regular
+graph reads W off its degree (see _regular_sweep) and its largest
+eccentricity off the component pass at degree <= 2, or off reach sets grown
+as bitsets above that: about diam * 2|E| big-int ORs per block of
+_REACH_BLOCK targets.  A tree runs a BFS from two sources read off the
+component pass.  Any other graph runs a BFS from every vertex except leaves
+and twins (see first_twins, the one twin rule), whose answers it reads off a
+swept source: at most |V| (|V| + 2|E|) list steps.  All of these are cached
+on the Graph object.  enumerate_trees(n) keeps no memo.
 """
 
 from __future__ import annotations
@@ -119,16 +122,17 @@ class Graph:
         return tuple(tuple(a) for a in inc)
 
     @cached_property
-    def _components(self) -> tuple[int, list[int]]:
+    def _components(self) -> tuple[int, list[int], list[int]]:
         # the one component pass: the component count, and each vertex's BFS
-        # depth from the first vertex of its component
+        # depth and f (see bfs) from the first vertex of its component
         dist = [-1] * self.vertex_count
+        f = [0] * self.vertex_count
         count = 0
         for s in range(self.vertex_count):
             if dist[s] < 0:
                 count += 1
-                bfs(self, s, dist)
-        return count, dist
+                bfs(self, s, dist, f)
+        return count, dist, f
 
     @cached_property
     def _metrics(self) -> GraphMetrics:
@@ -151,30 +155,28 @@ class Graph:
         degrees = self.degrees
         if degrees and min(degrees) == max(degrees):
             return _regular_sweep(self)
-        # one BFS per swept source (see _sweep_sources; the skipped ones
-        # cannot change the answer) gives its eccentricity and runs the W
-        # dynamic program: f[v], the heaviest shortest source-v path, is
-        # final once every vertex of the level above v has been dequeued
+        if is_tree(self):
+            # The double sweep (Bulterman et al., IPL 81, 2002) from two
+            # sources read off the component pass, rooted at vertex 0.  The
+            # deepest vertex ends a longest path, so its eccentricity is the
+            # diameter.  For W: every weight deg - 1 is at least 0, and leaves
+            # weigh 0, so a heaviest path ends at two leaves.  Giving each
+            # edge uv the length (w(u) + w(v)) / 2 makes it a longest path
+            # under non-negative edge lengths, and at a leaf f is its length
+            # from vertex 0 plus w(0) / 2, so the leaf of largest f ends a
+            # heaviest path.  An internal vertex that ties for the largest f
+            # has a leaf child with the same f, and the same pass (as in rule
+            # (a) of _sweep_sources).
+            _, depth, f = self._components
+            sources = [(depth.index(max(depth)), 0), (f.index(max(f)), 0)]
+        else:
+            sources = _sweep_sources(self)  # the skipped ones cannot change the answer
         n = self.vertex_count
-        adjacency = self.adjacency
-        weight = [d - 1 for d in self.degrees]
         diam = heaviest = 0
-        for s, leaf_step in _sweep_sources(self):
+        for s, leaf_step in sources:
             dist = [-1] * n
             f = [0] * n
-            dist[s] = 0
-            f[s] = weight[s]
-            order = [s]
-            for u in order:  # the list grows while it is read: a FIFO queue
-                du = dist[u] + 1
-                fu = f[u]
-                for v in adjacency[u]:
-                    if dist[v] < 0:
-                        dist[v] = du
-                        f[v] = fu + weight[v]
-                        order.append(v)
-                    elif dist[v] == du and fu + weight[v] > f[v]:
-                        f[v] = fu + weight[v]
+            order = bfs(self, s, dist, f)
             # the last visit is the farthest; a skipped leaf of s is one further
             diam = max(diam, dist[order[-1]] + leaf_step)
             # f[s] alone is no path, but never exceeds a neighbor's f (a lone
@@ -215,7 +217,7 @@ class Graph:
     def from_json(cls, text: str) -> "Graph":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise GraphError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(d)
 
@@ -244,22 +246,30 @@ def canonical_json(obj) -> str:
 # ---------------------------------------------------------------------------
 # structural predicates / metrics
 
-def bfs(g: Graph, src: int, dist: list[int]) -> list[int]:
+def bfs(g: Graph, src: int, dist: list[int], f: list[int]) -> list[int]:
     """Breadth-first walk from src; returns the vertices in visit order.
 
-    The caller owns `dist`: vertices with dist >= 0 count as visited, and
-    every vertex reached gets its distance from src.  Reusing one array
-    across calls walks a graph component by component.
+    The caller owns `dist` and `f`: vertices with dist >= 0 count as
+    visited, and every vertex v reached gets its distance from src in
+    dist[v] and W's dynamic program in f[v]: the heaviest shortest src-v
+    path, each vertex weighing deg - 1.  f[v] is final once every vertex of
+    the level above v has been dequeued.  Reusing the arrays across calls
+    walks a graph component by component.
     """
+    degrees, adjacency = g.degrees, g.adjacency
     dist[src] = 0
+    f[src] = degrees[src] - 1
     order = [src]
-    adjacency = g.adjacency
     for u in order:  # the list grows while it is read: a FIFO queue
         du = dist[u] + 1
+        fu = f[u] - 1
         for v in adjacency[u]:
             if dist[v] < 0:
                 dist[v] = du
+                f[v] = fu + degrees[v]
                 order.append(v)
+            elif dist[v] == du and fu + degrees[v] > f[v]:
+                f[v] = fu + degrees[v]
     return order
 
 
@@ -401,8 +411,8 @@ def _reach_eccentricity(g: Graph) -> int:
 
 def diameter(g: Graph) -> Optional[int]:
     """Exact diameter, the largest eccentricity of the all-sources sweep;
-    None when disconnected or empty."""
-    return g._sweep[0]
+    None, with no sweep, when disconnected or empty."""
+    return g._sweep[0] if is_connected(g) else None
 
 
 def heaviest_shortest_path(g: Graph) -> int:

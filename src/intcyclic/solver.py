@@ -77,6 +77,7 @@ class TDecision:
     decision: str  # feasible | infeasible | timeout
     source: str  # search | parity | matching
     nodes_explored: int
+    witness: Optional[EdgeColoring] = field(default=None, compare=False)  # when feasible
 
     def to_dict(self) -> dict:
         return {"t": self.t, "decision": self.decision, "source": self.source,
@@ -89,7 +90,10 @@ class FeasibleSet:
     t_lo: int
     t_hi: int
     decisions: tuple[TDecision, ...]  # one per t in [t_lo, t_hi], ascending
-    witnesses: dict[int, EdgeColoring] = field(compare=False)
+
+    @property
+    def witnesses(self) -> dict[int, EdgeColoring]:
+        return {d.t: d.witness for d in self.decisions if d.witness is not None}
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -132,12 +136,13 @@ def _search_order(g: Graph) -> list[int]:
     """Edge indices ordered by BFS from a maximum-degree vertex (per
     component), appending each visited vertex's unseen incident edges."""
     dist = [-1] * g.vertex_count
+    heaviest = [0] * g.vertex_count  # filled by bfs, not read
     added = [False] * g.edge_count
     order: list[int] = []
     for start in sorted(range(g.vertex_count), key=lambda v: (-g.degrees[v], v)):
         if dist[start] >= 0:
             continue
-        for u in bfs(g, start, dist):
+        for u in bfs(g, start, dist, heaviest):
             for e in g.incident_edges[u]:
                 if not added[e]:
                     added[e] = True
@@ -311,9 +316,9 @@ def _decide_task(args: tuple[Graph, int, Optional[int]]) -> SolveOutcome:
 
 
 def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
-          ) -> Iterator[tuple[TDecision, Optional[EdgeColoring]]]:
-    """Settle each t in [lo, hi] in ascending order, yielding its record and
-    its witness (None unless feasible).  A t that parity excludes, or that
+          ) -> Iterator[TDecision]:
+    """Settle each t in [lo, hi] in ascending order, yielding its record,
+    which carries its witness when feasible.  A t that parity excludes, or that
     lies below bounds.matching_floor (matching capacity), is infeasible with
     no search; every other t goes to decide().  At most min(jobs, searched t
     values, CPU count) worker processes run; with one, each t is searched
@@ -334,10 +339,10 @@ def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
         outcomes = (decide(g, t, node_budget) for t in searched)
     for t in ts:
         if t in theorem:
-            yield TDecision(t, INFEASIBLE, theorem[t], 0), None
+            yield TDecision(t, INFEASIBLE, theorem[t], 0)
         else:
             out = next(outcomes)
-            yield TDecision(t, out.decision, SEARCH, out.nodes_explored), out.witness
+            yield TDecision(t, out.decision, SEARCH, out.nodes_explored, out.witness)
 
 
 def feasible_set(g: Graph, t_hi: Optional[int] = None,
@@ -345,13 +350,7 @@ def feasible_set(g: Graph, t_hi: Optional[int] = None,
     """Settle every color count in the bounded range (see _plan); the set is
     exhausted unless some search timed out."""
     lo, hi = search_range(g, t_hi)
-    decisions = []
-    witnesses = {}
-    for rec, witness in _plan(g, lo, hi, node_budget, jobs):
-        decisions.append(rec)
-        if witness is not None:
-            witnesses[rec.t] = witness
-    return FeasibleSet(g.digest(), lo, hi, tuple(decisions), witnesses)
+    return FeasibleSet(g.digest(), lo, hi, tuple(_plan(g, lo, hi, node_budget, jobs)))
 
 
 def extremal(g: Graph, node_budget: Optional[int] = None, jobs: int = 1) -> ExtremalResult:
@@ -375,9 +374,9 @@ def certify_noncolorable(g: Graph, node_budget: Optional[int] = None
         return analytic
     lo, hi = search_range(g)
     transcripts = []
-    for rec, witness in _plan(g, lo, hi, node_budget):
-        if witness is not None:
-            return witness
+    for rec in _plan(g, lo, hi, node_budget):
+        if rec.witness is not None:
+            return rec.witness
         transcripts.append(rec.to_dict())
     timed_out = any(tr["decision"] == TIMEOUT for tr in transcripts)
     premises = (
@@ -454,19 +453,12 @@ def conjecture_scan(corpus: Iterable[Graph], node_budget: Optional[int] = None,
     for g in corpus:
         fs = feasible_set(g, node_budget=node_budget, jobs=jobs)
         m = metrics(g)
-        if not fs.exhausted:
-            records.append(ScanRecord(g.digest(), g.vertex_count, g.edge_count,
-                                      True, fs.members, None, None,
-                                      False, None, False, None))
-            continue
-        w_max = max(fs.members) if fs.members else None
-        gap_free = None
-        if fs.members:
-            gap_free = fs.members == tuple(range(fs.members[0], fs.members[-1] + 1))
+        w_max = max(fs.members) if fs.members and fs.exhausted else None
+        gap_free = None if w_max is None else fs.members == tuple(range(fs.members[0], w_max + 1))
         applies_1 = m.is_connected and m.is_triangle_free and w_max is not None
         applies_2 = m.is_connected and g.vertex_count >= 2 and w_max is not None
         records.append(ScanRecord(
-            g.digest(), g.vertex_count, g.edge_count, False, fs.members, w_max,
+            g.digest(), g.vertex_count, g.edge_count, not fs.exhausted, fs.members, w_max,
             gap_free,
             applies_1, (w_max <= g.vertex_count) if applies_1 else None,
             applies_2, (w_max <= 2 * g.vertex_count - 3) if applies_2 else None,

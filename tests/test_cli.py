@@ -459,7 +459,9 @@ MALFORMED_COLORINGS = [
 
 
 @pytest.mark.parametrize("verb,text", [("bounds", t) for t in MALFORMED_GRAPHS]
-                         + [("check", t) for t in MALFORMED_COLORINGS])
+                         + [("check", t) for t in MALFORMED_COLORINGS]
+                         + [pytest.param(verb, "[" * 100000, id=f"{verb}-nested")
+                            for verb in ("bounds", "check")])
 def test_malformed_file_is_format_error(tmp_path, capsys, verb, text):
     g_path, c_path = tmp_path / "g.json", tmp_path / "c.json"
     run(capsys, "gen", "path", "2", "-o", str(g_path))

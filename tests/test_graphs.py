@@ -21,7 +21,7 @@ from intcyclic import (
     make_tree_hat,
     metrics,
 )
-from intcyclic import graphs, solver
+from intcyclic import bounds, graphs, solver
 from intcyclic.graphs import is_tree, leaves
 
 import oracles
@@ -457,6 +457,14 @@ def refuse_bitsets(g):
     raise AssertionError("a graph of degree 2 or less ran a bitset round")
 
 
+def count_walks(mp):
+    """The sources of every graphs.bfs walk from now on, in call order."""
+    walks = []
+    bfs = graphs.bfs
+    mp.setattr(graphs, "bfs", lambda g, s, dist, f: walks.append(s) or bfs(g, s, dist, f))
+    return walks
+
+
 def prism(n):
     """C_n x K_2: two n-cycles joined by a perfect matching, 3-regular."""
     edges = [(i, (i + 1) % n) for i in range(n)] + [(n + i, n + (i + 1) % n) for i in range(n)]
@@ -504,14 +512,89 @@ class TestComponentPass:
         (make_hub_tree(3, 2), 1),
     ], ids=["empty", "2K2", "gdn-4-5", "C3+C4+C5", "prism5", "P3+K2+2K1", "hub-tree"])
     def test_one_bfs_per_component(self, monkeypatch, g, components):
-        walks = []
-        bfs = graphs.bfs
-        monkeypatch.setattr(graphs, "bfs", lambda g, s, dist: walks.append(s) or bfs(g, s, dist))
-        assert metrics(g).components == components
+        walks = count_walks(monkeypatch)
+        assert g._components[0] == components
         assert len(walks) == components
-        for read in (graphs.is_connected, graphs.is_bipartite, is_tree, metrics):
+        for read in (graphs.is_connected, graphs.is_bipartite, is_tree):
             read(g)
         assert len(walks) == components
+
+    @pytest.mark.parametrize("g,sources", [
+        (Graph(0, ()), 0),
+        (Graph(4, ((0, 1), (2, 3))), 0),  # disconnected: no sweep
+        (make_gdn(4, 5), 5),  # the cycle vertices; their 10 leaves are skipped
+        (cycles(3, 4, 5), 0),  # regular
+        (prism(5), 0),
+        (Graph(7, ((0, 1), (1, 2), (4, 5))), 0),
+        (make_hub_tree(3, 2), 2),  # a tree: the double sweep
+    ], ids=["empty", "2K2", "gdn-4-5", "C3+C4+C5", "prism5", "P3+K2+2K1", "hub-tree"])
+    def test_sweep_walks_after_the_component_pass(self, monkeypatch, g, sources):
+        walks = count_walks(monkeypatch)
+        graphs.is_connected(g)
+        walks.clear()
+        metrics(g)
+        assert len(walks) == sources
+        assert ("_sweep" in vars(g)) == graphs.is_connected(g)
+
+
+@st.composite
+def random_trees(draw):
+    """A tree on up to 40 vertices: each vertex after the first hangs off an
+    earlier one, and the labels are shuffled."""
+    n = draw(st.integers(1, 40))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, tuple((perm[draw(st.integers(0, i - 1))], perm[i]) for i in range(1, n)))
+
+
+@st.composite
+def caterpillars(draw):
+    """A spine path with a run of legs on each spine vertex."""
+    legs = draw(st.lists(st.integers(0, 4), min_size=1, max_size=12))
+    edges = [(i, i + 1) for i in range(len(legs) - 1)]
+    n = len(legs)
+    for i, k in enumerate(legs):
+        edges += [(i, n + j) for j in range(k)]
+        n += k
+    return Graph(n, tuple(edges))
+
+
+def check_tree_sweep(tree):
+    """Diameter, W and tree_m against Floyd-Warshall and listing every
+    shortest path, with two BFS walks after the component pass (none for
+    K1 and K2, which are regular)."""
+    n, edges = tree.vertex_count, tree.edges
+    with pytest.MonkeyPatch.context() as mp:
+        walks = count_walks(mp)
+        assert is_tree(tree) and len(walks) == 1
+        d, w = graphs.diameter(tree), graphs.heaviest_shortest_path(tree)
+        assert len(walks) == (3 if n >= 3 else 1)
+    assert d == oracles.fw_diameter(n, edges)
+    assert w == oracles.heaviest_shortest_path(n, edges)
+    if n >= 2:
+        assert bounds.tree_m(tree) == 1 + w
+
+
+class TestTreeSweep:
+    def test_every_tree_up_to_12_vertices(self):
+        for tree in all_trees_up_to(12):
+            check_tree_sweep(tree)
+
+    @given(random_trees())
+    def test_random_trees(self, tree):
+        check_tree_sweep(tree)
+
+    @given(caterpillars())
+    def test_caterpillars(self, tree):
+        check_tree_sweep(tree)
+
+    @given(st.integers(1, 6), st.integers(1, 6))
+    def test_hub_trees(self, hubs, leaves_per_hub):
+        check_tree_sweep(make_hub_tree(hubs, leaves_per_hub))
+
+    def test_long_path(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_sweep_sources", refuse)
+        g = make_path(100000)
+        assert (graphs.diameter(g), graphs.heaviest_shortest_path(g)) == (99999, 99998)
 
 
 class TestTwins:

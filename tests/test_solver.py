@@ -324,7 +324,7 @@ class TestMatchingCapacity:
         assert floor == next(t for t in count() if g.edge_count <= t * (g.vertex_count // 2))
         lo, hi = solver.search_range(g)
         parity = parity_obstruction(g)
-        got = [rec.t for rec, _ in solver._plan(g, lo, hi, 1) if rec.source == "matching"]
+        got = [rec.t for rec in solver._plan(g, lo, hi, 1) if rec.source == "matching"]
         assert got == [t for t in range(lo, hi + 1) if t < floor and not parity.excludes(t)]
         return got
 
