@@ -6,18 +6,20 @@ every edge-coloring in this package refers to.
 
 Every walk goes through one helper, bfs(g, src, dist, f), which fills the
 caller's arrays with each vertex's distance from src and its f, the
-heaviest shortest path from src (vertex weight deg - 1).  One component pass
-per graph (count, and each vertex's depth and f from the first vertex of its
-component) answers connectivity and bipartiteness.  The all-pairs facts,
-diameter() and heaviest_shortest_path(), come from one sweep.  A regular
-graph reads W off its degree (see _regular_sweep) and its largest
-eccentricity off the component pass at degree <= 2, or off reach sets grown
-as bitsets above that: about diam * 2|E| big-int ORs per block of
-_REACH_BLOCK targets.  A tree runs a BFS from two sources read off the
-component pass.  Any other graph runs a BFS from every vertex except leaves
-and twins (see first_twins, the one twin rule), whose answers it reads off a
-swept source: at most |V| (|V| + 2|E|) list steps.  All of these are cached
-on the Graph object.  enumerate_trees(n) keeps no memo.
+heaviest shortest path from src (vertex weight deg - 1).  It has two
+callers.  The component pass, once per graph, walks each component from its
+first maximum-degree vertex, where the search starts (see
+solver._search_order), and keeps the walks, depths and f; it answers
+connectivity and bipartiteness.  The sweep gives diameter() and
+heaviest_shortest_path().  A regular graph reads W off its degree (see
+_regular_sweep) and its largest eccentricity off the component pass at
+degree <= 2, or off reach sets grown as bitsets above that: about
+diam * 2|E| big-int ORs per block of _REACH_BLOCK targets.  A tree runs a
+BFS from two sources read off the component pass.  Any other graph, forests
+included, runs a BFS from every vertex except leaves and twins (see
+first_twins, the one twin rule), whose answers it reads off a swept source:
+at most |V| (|V| + 2|E|) list steps.  All of these are cached on the Graph
+object.  enumerate_trees(n) keeps no memo.
 """
 
 from __future__ import annotations
@@ -110,7 +112,9 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        # the edges are sorted pairs (u, v) with u < v, so each row gets its
+        # lower neighbours, then its higher ones, both ascending: it is sorted
+        return tuple(map(tuple, adj))
 
     @cached_property
     def incident_edges(self) -> tuple[tuple[int, ...], ...]:
@@ -122,22 +126,25 @@ class Graph:
         return tuple(tuple(a) for a in inc)
 
     @cached_property
-    def _components(self) -> tuple[int, list[int], list[int]]:
-        # the one component pass: the component count, and each vertex's BFS
-        # depth and f (see bfs) from the first vertex of its component
+    def _components(self) -> tuple[list[list[int]], list[int], list[int]]:
+        # the one component pass, rooted where the search starts: each
+        # component is walked from its first maximum-degree vertex, and the
+        # components come in (-degree, vertex) order of those roots (sorted()
+        # is stable under reverse).  The walks (each component's vertices in
+        # visit order), and each vertex's BFS depth and f (see bfs) from its
+        # component's root
         dist = [-1] * self.vertex_count
         f = [0] * self.vertex_count
-        count = 0
-        for s in range(self.vertex_count):
+        walks = []
+        for s in sorted(range(self.vertex_count), key=self.degrees.__getitem__, reverse=True):
             if dist[s] < 0:
-                count += 1
-                bfs(self, s, dist, f)
-        return count, dist, f
+                walks.append(bfs(self, s, dist, f))
+        return walks, dist, f
 
     @cached_property
     def _metrics(self) -> GraphMetrics:
         # read through metrics(); computed once per object
-        comps = self._components[0]
+        comps = len(self._components[0])
         degs = self.degrees
         return GraphMetrics(
             degrees=degs,
@@ -151,24 +158,25 @@ class Graph:
         )
 
     @cached_property
-    def _sweep(self) -> tuple[Optional[int], int]:
+    def _sweep(self) -> tuple[int, int]:
+        # (the largest eccentricity within a component, W)
         degrees = self.degrees
         if degrees and min(degrees) == max(degrees):
             return _regular_sweep(self)
         if is_tree(self):
             # The double sweep (Bulterman et al., IPL 81, 2002) from two
-            # sources read off the component pass, rooted at vertex 0.  The
-            # deepest vertex ends a longest path, so its eccentricity is the
-            # diameter.  For W: every weight deg - 1 is at least 0, and leaves
-            # weigh 0, so a heaviest path ends at two leaves.  Giving each
-            # edge uv the length (w(u) + w(v)) / 2 makes it a longest path
-            # under non-negative edge lengths, and at a leaf f is its length
-            # from vertex 0 plus w(0) / 2, so the leaf of largest f ends a
-            # heaviest path.  An internal vertex that ties for the largest f
-            # has a leaf child with the same f, and the same pass (as in rule
-            # (a) of _sweep_sources).
-            _, depth, f = self._components
-            sources = [(depth.index(max(depth)), 0), (f.index(max(f)), 0)]
+            # sources read off the component pass, whose walk starts at r.
+            # The deepest vertex (the last visit) ends a longest path, so its
+            # eccentricity is the diameter.  For W: every weight deg - 1 is
+            # at least 0, and leaves weigh 0, so a heaviest path ends at two
+            # leaves.  Giving each edge uv the length (w(u) + w(v)) / 2 makes
+            # it a longest path under non-negative edge lengths, and at a leaf
+            # f is its length from r plus w(r) / 2, so the leaf of largest f
+            # ends a heaviest path.  An internal vertex that ties for the
+            # largest f has a leaf child with the same f, and the same pass
+            # (as in rule (a) of _sweep_sources).
+            walks, _, f = self._components
+            sources = [(walks[0][-1], 0), (f.index(max(f)), 0)]
         else:
             sources = _sweep_sources(self)  # the skipped ones cannot change the answer
         n = self.vertex_count
@@ -182,7 +190,7 @@ class Graph:
             # f[s] alone is no path, but never exceeds a neighbor's f (a lone
             # source weighs -1); unreached vertices keep f = 0, W's floor
             heaviest = max(heaviest, max(f))
-        return (diam if is_connected(self) else None), heaviest
+        return diam, heaviest
 
     @property
     def edge_count(self) -> int:
@@ -274,7 +282,7 @@ def bfs(g: Graph, src: int, dist: list[int], f: list[int]) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.vertex_count > 0 and g._components[0] == 1
+    return len(g._components[0]) == 1
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -354,7 +362,7 @@ def _sweep_sources(g: Graph) -> list[tuple[int, int]]:
     return sources
 
 
-def _regular_sweep(g: Graph) -> tuple[Optional[int], int]:
+def _regular_sweep(g: Graph) -> tuple[int, int]:
     """Graph._sweep of a d-regular graph with at least one vertex, with no
     BFS per vertex.  Every vertex weighs d - 1, so W is (e + 1)(d - 1) with a
     floor of 0, e the largest eccentricity within a component.  For d <= 2
@@ -362,7 +370,7 @@ def _regular_sweep(g: Graph) -> tuple[Optional[int], int]:
     eccentricity: e is the largest depth of the component pass."""
     d = g.degrees[0]
     ecc = max(g._components[1]) if d <= 2 else _reach_eccentricity(g)
-    return (ecc if is_connected(g) else None), max(0, (ecc + 1) * (d - 1))
+    return ecc, max(0, (ecc + 1) * (d - 1))
 
 
 def _reach_eccentricity(g: Graph) -> int:

@@ -10,7 +10,8 @@ from the emitted graph, never trusted from constructor parameters.
 
 `match_analytic` recognizes both shapes in linear time from degree and edge
 counts; it deletes only a vertex whose degree and neighbours' degrees fit an
-apex (certifying a tree-hat then runs the tree's sweep).
+apex, and certifies the given graph as the hat of the tree left (which runs
+the tree's sweep, and builds no second hat).
 """
 
 from __future__ import annotations
@@ -75,13 +76,10 @@ def _all_leaf_distances_even(tree: Graph) -> bool:
     return len({depth[v] % 2 for v in leaves(tree)}) == 1
 
 
-def build_certified_tree_hat(tree: Graph) -> tuple[Graph, Certificate]:
-    """Attach an apex to every leaf of the tree and certify the result.
-
-    The certificate passes when the recomputed leaf count reaches 2*(M+2);
-    otherwise it carries the failed premise and makes no claim either way.
-    """
-    hat = make_tree_hat(tree)
+def _tree_hat_certificate(tree: Graph, hat: Graph) -> Certificate:
+    """Certify `hat`, the tree plus an apex adjacent to every leaf, from
+    premises recomputed from the tree: it passes when the leaf count reaches
+    2*(M+2), and otherwise carries the failed premise and makes no claim."""
     leaf_count = len(leaves(tree))
     m_val = tree_m(tree)
     threshold = 2 * (m_val + 2)
@@ -97,10 +95,15 @@ def build_certified_tree_hat(tree: Graph) -> tuple[Graph, Certificate]:
         if not is_bipartite(hat):  # even leaf distances force this
             raise RuntimeError("even leaf distances but apex graph not bipartite")
         notes.append("all leaf distances even; the emitted graph is bipartite")
-    cert = Certificate(RULE_TREE_HAT, premises,
+    return Certificate(RULE_TREE_HAT, premises,
                        conclusion=NONCOLORABLE if passed else None,
                        notes=tuple(notes))
-    return hat, cert
+
+
+def build_certified_tree_hat(tree: Graph) -> tuple[Graph, Certificate]:
+    """Attach an apex to every leaf of the tree and certify the result."""
+    hat = make_tree_hat(tree)
+    return hat, _tree_hat_certificate(tree, hat)
 
 
 def detect_kstar(g: Graph) -> Optional[tuple[int, int]]:
@@ -170,14 +173,8 @@ def noncolorable_for_degree(d: int) -> tuple[Graph, Certificate]:
 
 
 def _delete_vertex(g: Graph, u: int) -> Graph:
-    remap = {}
-    nxt = 0
-    for v in range(g.vertex_count):
-        if v != u:
-            remap[v] = nxt
-            nxt += 1
-    edges = tuple((remap[a], remap[b]) for a, b in g.edges if u not in (a, b))
-    return Graph(g.vertex_count - 1, edges)
+    return Graph(g.vertex_count - 1,
+                 tuple((a - (a > u), b - (b > u)) for a, b in g.edges if u not in (a, b)))
 
 
 def match_analytic(g: Graph) -> Optional[Certificate]:
@@ -205,7 +202,7 @@ def match_analytic(g: Graph) -> Optional[Certificate]:
         rest = _delete_vertex(g, u)
         if not is_tree(rest):
             continue
-        _, cert = build_certified_tree_hat(rest)
+        cert = _tree_hat_certificate(rest, g)
         if cert.passed:
             return cert
     return None

@@ -1,7 +1,8 @@
 """Exact decision procedure and feasible-set computation.
 
 decide() runs a complete backtracking search over edge colorings.  Edges are
-ordered by BFS from a maximum-degree vertex so the tightest spectrum
+taken in the visit order of the graph's component pass, a BFS from each
+component's first maximum-degree vertex, so the tightest spectrum
 constraints engage early.  The search is an explicit-stack loop with no depth
 limit: each position keeps the bitset of its untried candidate colors and
 takes them lowest first.  A position's candidates are the colors free at both
@@ -36,7 +37,7 @@ from typing import Iterable, Iterator, Optional
 from . import bounds as bounds_mod
 from . import noncolorable as nc
 from .coloring import EdgeColoring, validate_cyclic
-from .graphs import Graph, bfs, first_twins, metrics
+from .graphs import Graph, first_twins, metrics
 
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -133,16 +134,13 @@ class ExtremalResult:
 
 
 def _search_order(g: Graph) -> list[int]:
-    """Edge indices ordered by BFS from a maximum-degree vertex (per
-    component), appending each visited vertex's unseen incident edges."""
-    dist = [-1] * g.vertex_count
-    heaviest = [0] * g.vertex_count  # filled by bfs, not read
+    """Edge indices in the component pass's visit order (a BFS from each
+    component's first maximum-degree vertex; see Graph._components),
+    appending each visited vertex's unseen incident edges."""
     added = [False] * g.edge_count
     order: list[int] = []
-    for start in sorted(range(g.vertex_count), key=lambda v: (-g.degrees[v], v)):
-        if dist[start] >= 0:
-            continue
-        for u in bfs(g, start, dist, heaviest):
+    for walk in g._components[0]:
+        for u in walk:
             for e in g.incident_edges[u]:
                 if not added[e]:
                     added[e] = True
@@ -152,12 +150,12 @@ def _search_order(g: Graph) -> list[int]:
 
 def _twin_links(g: Graph) -> list[int]:
     """Twin order on the first star of _search_order: the edges at its start
-    vertex a (the first maximum-degree vertex), which fill the first deg(a)
-    positions with their far endpoints in ascending order, as in
+    vertex a (the root of the component pass's first walk), which fill the
+    first deg(a) positions with their far endpoints in ascending order, as in
     g.adjacency[a].  Entry p is the latest earlier position whose far
     endpoint is a twin of position p's (see graphs.first_twins), or -1;
     trailing -1 entries are dropped."""
-    star = g.adjacency[g.degrees.index(max(g.degrees))]
+    star = g.adjacency[g._components[0][0][0]]
     last: dict[int, int] = {}  # first vertex of a twin class -> latest position
     links: list[int] = []
     for p, first in enumerate(first_twins(g, star)):

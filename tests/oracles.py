@@ -8,8 +8,9 @@ shortest paths by listing every shortest path, canonical forms by trying
 every vertex permutation or, for trees, every root, and the tree path metric
 by walking the path.  reference_decide is the backtracking kernel as it stood
 before the twin-order cut, kept verbatim as the baseline that the package's
-search must agree with.  sweep_sources_by_keys and twin_links_by_keys are the
-two neighbourhood-key loops that the sweep and the twin order ran before both
+search must agree with, and bfs_edge_order is its edge-order loop on its
+own.  sweep_sources_by_keys and twin_links_by_keys are the two
+neighbourhood-key loops that the sweep and the twin order ran before both
 read one twin rule; first_twins_by_definition compares neighbourhood sets.
 kstar_by_pairs is the kstar recognizer as it stood before it counted edges:
 it tests every pair of the would-be clique for adjacency.
@@ -346,6 +347,41 @@ def _reference_allowed(mask, d, t):
         if mask & win == mask:
             out |= win
     return out
+
+
+def bfs_edge_order(n, edges):
+    """The search's edge order as reference_decide builds it: a BFS from
+    each unvisited vertex in (-degree, vertex) order, appending each visited
+    vertex's unseen incident edges (indices into the sorted edge list)."""
+    edges = sorted(tuple(sorted(e)) for e in edges)
+    m = len(edges)
+    adj = [[] for _ in range(n)]
+    inc = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append(v)
+        adj[v].append(u)
+        inc[u].append(i)
+        inc[v].append(i)
+    adj = [sorted(a) for a in adj]
+    deg = [len(a) for a in adj]
+    dist = [-1] * n
+    added = [False] * m
+    order = []
+    for start in sorted(range(n), key=lambda v: (-deg[v], v)):
+        if dist[start] >= 0:
+            continue
+        dist[start] = 0
+        queue = [start]
+        for u in queue:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+            for e in inc[u]:
+                if not added[e]:
+                    added[e] = True
+                    order.append(e)
+    return order
 
 
 def reference_decide(n, edges, t, node_budget):

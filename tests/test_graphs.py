@@ -1,3 +1,4 @@
+import inspect
 import math
 from itertools import combinations
 
@@ -390,16 +391,20 @@ def matching(k):
 def check_regular_sweep(g, widths=(1, 2, 3), sources=None):
     """The regular branch against Floyd-Warshall and against listing every
     shortest path (from `sources` only, when given), through the cached
-    sweep and again with target blocks of each width in `widths`."""
-    d = oracles.fw_diameter(g.vertex_count, g.edges)
-    want = (None if d == math.inf else d,
-            oracles.heaviest_shortest_path(g.vertex_count, g.edges, sources))
+    sweep and again with target blocks of each width in `widths`.  The
+    branch itself returns the largest finite distance; diameter() alone
+    says None for a disconnected graph."""
+    n = g.vertex_count
+    finite = [d for row in oracles.fw_distances(n, g.edges) for d in row if d != math.inf]
+    ecc = max(finite)
+    w = oracles.heaviest_shortest_path(n, g.edges, sources)
+    want = (ecc if len(finite) == n * n else None), w
     assert (graphs.diameter(g), graphs.heaviest_shortest_path(g)) == want
     assert metrics(g).diameter == want[0]
     for width in widths:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "_REACH_BLOCK", width)
-            assert graphs._regular_sweep(g) == want, width
+            assert graphs._regular_sweep(g) == (ecc, w), width
 
 
 # (graph, sources for the W oracle): Q_d is vertex-transitive, so beyond
@@ -513,7 +518,7 @@ class TestComponentPass:
     ], ids=["empty", "2K2", "gdn-4-5", "C3+C4+C5", "prism5", "P3+K2+2K1", "hub-tree"])
     def test_one_bfs_per_component(self, monkeypatch, g, components):
         walks = count_walks(monkeypatch)
-        assert g._components[0] == components
+        assert len(g._components[0]) == components
         assert len(walks) == components
         for read in (graphs.is_connected, graphs.is_bipartite, is_tree):
             read(g)
@@ -538,10 +543,10 @@ class TestComponentPass:
 
 
 @st.composite
-def random_trees(draw):
-    """A tree on up to 40 vertices: each vertex after the first hangs off an
-    earlier one, and the labels are shuffled."""
-    n = draw(st.integers(1, 40))
+def random_trees(draw, max_vertices=40):
+    """A tree on up to `max_vertices` vertices: each vertex after the first
+    hangs off an earlier one, and the labels are shuffled."""
+    n = draw(st.integers(1, max_vertices))
     perm = draw(st.permutations(range(n)))
     return Graph(n, tuple((perm[draw(st.integers(0, i - 1))], perm[i]) for i in range(1, n)))
 
@@ -595,6 +600,96 @@ class TestTreeSweep:
         monkeypatch.setattr(graphs, "_sweep_sources", refuse)
         g = make_path(100000)
         assert (graphs.diameter(g), graphs.heaviest_shortest_path(g)) == (99999, 99998)
+
+
+def disjoint(*parts):
+    """The disjoint union of the given graphs, vertices numbered in order."""
+    edges, base = [], 0
+    for part in parts:
+        edges += [(base + u, base + v) for u, v in part.edges]
+        base += part.vertex_count
+    return Graph(base, tuple(edges))
+
+
+@st.composite
+def forests(draw):
+    """A union of 1-4 random trees on up to 12 vertices each, with the labels
+    shuffled across the whole forest."""
+    forest = disjoint(*draw(st.lists(random_trees(12), min_size=1, max_size=4)))
+    perm = draw(st.permutations(range(forest.vertex_count)))
+    return Graph(forest.vertex_count, tuple((perm[u], perm[v]) for u, v in forest.edges))
+
+
+def check_forest_sweep(forest):
+    """The sweep's largest eccentricity within a tree and W against
+    Floyd-Warshall and listing every shortest path."""
+    n, edges = forest.vertex_count, forest.edges
+    ecc, w = forest._sweep
+    assert ecc == max(d for row in oracles.fw_distances(n, edges) for d in row if d != math.inf)
+    assert w == oracles.heaviest_shortest_path(n, edges)
+    assert graphs.diameter(forest) == (ecc if len(forest._components[0]) == 1 else None)
+
+
+class TestForestSweep:
+    @given(forests())
+    def test_random_forests(self, forest):
+        check_forest_sweep(forest)
+
+    @pytest.mark.parametrize("forest", [
+        matching(3), Graph(4, ()), disjoint(make_path(2), Graph(1, ())),
+        disjoint(make_path(3), Graph(2, ())), disjoint(make_path(5), make_hub_tree(2, 3)),
+        disjoint(*[make_path(3)] * 5),
+    ], ids=["3K2", "4K1", "K2+K1", "P3+2K1", "P5+hub-tree", "5P3"])
+    def test_small_forests(self, forest):
+        check_forest_sweep(forest)
+
+
+def check_search_order(g):
+    assert solver._search_order(g) == oracles.bfs_edge_order(g.vertex_count, g.edges)
+
+
+class TestSearchOrder:
+    """The search order is the component pass's walks: a BFS from each
+    component's first maximum-degree vertex, in (-degree, vertex) order."""
+
+    def test_atlas(self, atlas):
+        for g in atlas:
+            check_search_order(g)
+
+    @given(small_graphs())
+    def test_random_graphs(self, g):
+        check_search_order(g)
+
+    @given(forests())
+    def test_forests(self, g):
+        check_search_order(g)
+
+    @pytest.mark.parametrize("g,roots", [
+        # a triangle with a pendant, K_{1,3} and a point: 2 and 4 tie on degree 3
+        (Graph(9, ((0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7))), [2, 4, 8]),
+        (disjoint(make_path(3), make_path(3), make_complete(4)), [6, 1, 4]),
+        (disjoint(make_path(2), make_path(4), make_path(5)), [3, 7, 0]),
+    ], ids=["K3+pendant+K13+K1", "P3+P3+K4", "K2+P4+P5"])
+    def test_components_tied_on_maximum_degree(self, g, roots):
+        assert [walk[0] for walk in g._components[0]] == roots
+        check_search_order(g)
+
+    def test_bfs_edge_order_is_the_reference_loop(self):
+        # bfs_edge_order is reference_decide's edge-order loop line for line,
+        # so these tests and the reference comparisons share one baseline
+        body = inspect.getsource(oracles.bfs_edge_order).split('"""')[-1]
+        adj = body.index("    adj = ")
+        reference = inspect.getsource(oracles.reference_decide)
+        assert body[body.index("    edges = "):adj] in reference  # the edges and m
+        assert body[adj:body.index("    return order")] in reference  # the BFS loop
+
+    def test_reads_the_component_pass(self, monkeypatch):
+        g = Graph(9, ((0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7)))
+        g._components
+        walks = count_walks(monkeypatch)
+        solver._search_order(g)
+        solver._twin_links(g)
+        assert walks == []
 
 
 class TestTwins:

@@ -110,6 +110,17 @@ class TestDetection:
         cert = match_analytic(hat)
         assert cert is not None and cert.rule == "tree-hat" and cert.passed
 
+    def test_match_analytic_certifies_the_given_hat(self, monkeypatch):
+        hat, want = build_certified_tree_hat(make_hub_tree(7, 7))
+
+        def rebuilt(tree):
+            raise AssertionError("match_analytic built a second hat")
+
+        monkeypatch.setattr(nc, "make_tree_hat", rebuilt)
+        cert = match_analytic(hat)
+        assert cert == want and cert.passed
+        assert cert.notes == ("all leaf distances even; the emitted graph is bipartite",)
+
     def test_match_analytic_none_for_plain_graphs(self):
         assert match_analytic(make_cycle(6)) is None
         assert match_analytic(make_complete(5)) is None
