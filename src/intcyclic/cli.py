@@ -17,7 +17,7 @@ from . import constructions as cons
 from . import graphs as graphs_mod
 from . import solver
 from .coloring import EdgeColoring, validate_cyclic, validate_interval
-from .graphs import Graph, GraphError, canonical_json, make_hub_tree, make_tree_hat
+from .graphs import Graph, canonical_json, make_hub_tree, make_tree_hat
 from .noncolorable import Certificate, build_certified_kstar, build_certified_tree_hat
 
 EXIT_OK = 0
@@ -32,29 +32,26 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_graph(path: str) -> Graph:
+def _load(path: str, cls=Graph) -> Graph | EdgeColoring:
+    kind = "graph" if cls is Graph else "coloring"
     try:
-        return Graph.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_text())
     except FileNotFoundError:
-        raise CliError(f"graph file not found: {path}")
-    except (GraphError, ValueError) as exc:
-        raise CliError(f"bad graph file {path}: {exc}")
-
-
-def _load_coloring(path: str) -> EdgeColoring:
-    try:
-        return EdgeColoring.from_json(Path(path).read_text())
-    except FileNotFoundError:
-        raise CliError(f"coloring file not found: {path}")
-    except ValueError as exc:
-        raise CliError(f"bad coloring file {path}: {exc}")
+        raise CliError(f"{kind} file not found: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read {kind} file {path}: {exc.strerror}")
+    except ValueError as exc:  # GraphError included
+        raise CliError(f"bad {kind} file {path}: {exc}")
 
 
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}")
 
 
 def _int_params(params: list[str], family: str) -> list[int]:
@@ -77,7 +74,7 @@ def _cmd_gen(args) -> int:
     if args.family == "tree-hat":
         if not args.graph:
             raise CliError("gen tree-hat needs a tree file via -g")
-        g = make_tree_hat(_load_graph(args.graph))
+        g = make_tree_hat(_load(args.graph))
         _write(args.output, g.to_json())
         return EXIT_OK
     if args.family == "noncolorable":
@@ -94,7 +91,7 @@ def _cmd_gen_noncolorable(args) -> int:
         g, cert = build_certified_kstar(args.n, args.m)
     elif args.rule == "tree-hat":
         if args.graph:
-            tree = _load_graph(args.graph)
+            tree = _load(args.graph)
         elif args.hubs and args.leaves:
             tree = make_hub_tree(args.hubs, args.leaves)
         else:
@@ -113,8 +110,8 @@ def _cmd_color(args) -> int:
         _refuse_params(args, name)
         if not (args.graph and args.coloring_in and args.t):
             raise CliError("color mod-reduce needs -g GRAPH --input-coloring ALPHA --t T")
-        g = _load_graph(args.graph)
-        alpha = _load_coloring(args.coloring_in)
+        g = _load(args.graph)
+        alpha = _load(args.coloring_in, EdgeColoring)
         try:
             coloring = cons.mod_reduce(g, alpha, args.t)
         except ValueError as exc:
@@ -135,8 +132,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = _load_graph(args.graph)
-    coloring = _load_coloring(args.coloring)
+    g = _load(args.graph)
+    coloring = _load(args.coloring, EdgeColoring)
     validator = validate_cyclic if args.mode == "cyclic" else validate_interval
     result = validator(g, coloring)
     sys.stdout.write(canonical_json(result.to_dict()))
@@ -144,7 +141,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph)
     if args.t is not None:
         out = solver.decide(g, args.t, args.budget)
         sys.stdout.write(canonical_json(out.to_dict()))
@@ -159,7 +156,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph)
     rep = bounds_mod.report(g)
     sys.stdout.write(rep.table() + "\n")
     sys.stdout.write(canonical_json(rep.to_dict()))
@@ -167,7 +164,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph)
     res = solver.certify_noncolorable(g, node_budget=args.budget)
     if isinstance(res, EdgeColoring):
         sys.stdout.write(canonical_json(
@@ -185,7 +182,7 @@ def _cmd_scan(args) -> int:
         raise CliError(f"not a directory: {args.corpus}")
     graphs = []
     for path in sorted(corpus_dir.glob("*.json")):
-        graphs.append(_load_graph(str(path)))
+        graphs.append(_load(str(path)))
     report = solver.conjecture_scan(graphs, node_budget=args.budget, jobs=args.jobs)
     sys.stdout.write(canonical_json(report.to_dict()))
     return EXIT_NEGATIVE if report.counterexamples else EXIT_OK
@@ -196,8 +193,8 @@ def _hsv_ramp(c: int, t: int) -> str:
 
 
 def _cmd_export_dot(args) -> int:
-    g = _load_graph(args.graph)
-    coloring = _load_coloring(args.coloring) if args.coloring else None
+    g = _load(args.graph)
+    coloring = _load(args.coloring, EdgeColoring) if args.coloring else None
     if coloring is not None and len(coloring.colors) != g.edge_count:
         raise CliError("coloring does not match the graph's edge count")
     lines = ["graph {"]
@@ -307,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (GraphError, ValueError) as exc:
+    except ValueError as exc:  # GraphError included
         # bad parameters or malformed inputs that slipped past a verb's own
         # checks are still usage/format errors
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ heaviest shortest path from src (vertex weight deg - 1).  It has two
 callers.  The component pass, once per graph, walks each component from its
 first maximum-degree vertex, where the search starts (see
 solver._search_order), and keeps the walks, depths and f; it answers
-connectivity and bipartiteness.  The sweep gives diameter() and
+connectivity, bipartiteness and triangle-freeness (every triangle has an
+edge inside a BFS level).  The sweep gives diameter() and
 heaviest_shortest_path().  A regular graph reads W off its degree (see
 _regular_sweep) and its largest eccentricity off the component pass at
 degree <= 2, or off reach sets grown as bitsets above that: about
@@ -293,11 +294,13 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    neigh = [set(a) for a in g.adjacency]
-    for u, v in g.edges:
-        if neigh[u] & neigh[v]:
-            return False
-    return True
+    # Itai and Rodeh (SIAM J. Comput. 7, 1978): every edge joins two BFS
+    # levels at most one apart, so two of a triangle's three vertices share a
+    # level, and every triangle has an edge inside a level.  Only those edges
+    # are tested; a bipartite graph has none, and intersects no neighbourhoods
+    dist, adjacency = g._components[1], g.adjacency
+    return all(dist[u] != dist[v] or set(adjacency[u]).isdisjoint(adjacency[v])
+               for u, v in g.edges)
 
 
 def is_tree(g: Graph) -> bool:

@@ -473,3 +473,26 @@ def test_malformed_file_is_format_error(tmp_path, capsys, verb, text):
 
 def test_usage_error_exit_code(capsys):
     assert main(["unknown-verb"]) == EXPECTED_FORMAT_ERROR
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "-g", "DIR"),
+    ("solve", "-g", "DIR", "--feasible-set"),
+    ("check", "-g", "G", "-c", "DIR"),
+    ("gen", "cycle", "5", "-o", "MISSING"),
+    ("gen", "noncolorable", "--rule", "kstar", "--n", "1", "--m", "1",
+     "-o", "OUT", "--cert", "MISSING"),
+    ("scan", "--corpus", "CORPUS"),
+], ids=["bounds-dir", "solve-dir", "check-dir", "gen-missing-dir", "cert-missing-dir",
+        "scan-dir-entry"])
+def test_unreadable_or_unwritable_file_is_format_error(tmp_path, capsys, argv):
+    # exit 1 would read as an answer (invalid, rejected, counterexample)
+    files = {"DIR": tmp_path / "dir", "G": tmp_path / "g.json", "OUT": tmp_path / "out.json",
+             "MISSING": tmp_path / "missing" / "x.json", "CORPUS": tmp_path / "corpus"}
+    files["DIR"].mkdir()
+    (files["CORPUS"] / "x.json").mkdir(parents=True)
+    run(capsys, "gen", "cycle", "5", "-o", str(files["G"]))
+    run(capsys, "gen", "cycle", "4", "-o", str(files["CORPUS"] / "c4.json"))
+    code, stdout, err = run(capsys, *(str(files.get(a, a)) for a in argv))
+    assert code == EXPECTED_FORMAT_ERROR and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

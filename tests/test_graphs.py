@@ -542,6 +542,114 @@ class TestComponentPass:
         assert ("_sweep" in vars(g)) == graphs.is_connected(g)
 
 
+def relabel(n, edges, perm):
+    return Graph(n, tuple((perm[u], perm[v]) for u, v in edges))
+
+
+@st.composite
+def shuffled_unions(draw):
+    """A union of 1-3 random graphs on up to 7 vertices each, labels
+    shuffled, so the component pass roots its walks anywhere."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 7))
+        pairs = [(n + u, n + v) for u, v in combinations(range(k), 2)]
+        edges += draw(st.sets(st.sampled_from(pairs))) if pairs else []
+        n += k
+    return relabel(n, edges, draw(st.permutations(range(n))))
+
+
+def blowup(parts):
+    """The cycle C_len(parts) with vertex i replaced by an independent set of
+    parts[i] vertices, consecutive sets joined completely: triangle-free,
+    and not bipartite when the cycle is odd."""
+    starts = [sum(parts[:i]) for i in range(len(parts) + 1)]
+    edges = [(starts[i] + a, starts[(i + 1) % len(parts)] + b)
+             for i in range(len(parts)) for a in range(parts[i])
+             for b in range(parts[(i + 1) % len(parts)])]
+    return Graph(starts[-1], tuple(edges))
+
+
+def count_intersections(mp):
+    """Every neighbourhood set is_triangle_free builds from now on: set() in
+    graphs' namespace is called by it alone."""
+    made = []
+    mp.setattr(graphs, "set", lambda a: made.append(a) or set(a), raising=False)
+    return made
+
+
+def level_edges(g):
+    """The edges inside a BFS level, from Floyd-Warshall distances to each
+    component's root."""
+    dist = oracles.fw_distances(g.vertex_count, g.edges)
+    root = {v: walk[0] for walk in g._components[0] for v in walk}
+    return sum(dist[root[u]][u] == dist[root[v]][v] for u, v in g.edges)
+
+
+class TestTriangleFree:
+    """is_triangle_free reads the BFS levels of the component pass and
+    intersects two neighbourhoods only across an edge inside a level."""
+
+    KMN = [(1, 1), (1, 6), (3, 3), (4, 7), (5, 3)]
+
+    def check(self, g):
+        assert graphs.is_triangle_free(g) == (not oracles.has_triangle(g.vertex_count, g.edges))
+
+    @given(shuffled_unions())
+    def test_against_the_oracle(self, g):
+        self.check(g)
+
+    def test_atlas(self, atlas):
+        for g in atlas:
+            self.check(g)
+
+    @given(st.sampled_from([5, 7]).flatmap(
+        lambda k: st.lists(st.integers(1, 4), min_size=k, max_size=k)), st.randoms())
+    def test_odd_cycle_blowups(self, parts, rnd):
+        g = blowup(parts)
+        perm = list(range(g.vertex_count))
+        rnd.shuffle(perm)
+        g = relabel(g.vertex_count, g.edges, perm)
+        assert graphs.is_triangle_free(g) and not graphs.is_bipartite(g)
+        self.check(g)
+
+    def test_triangle_deep_in_the_walk(self, monkeypatch):
+        # a 20-vertex path with a star at 0, which roots the walk there, and a
+        # triangle at the far end: its one level edge is 19 levels down
+        edges = [(i, i + 1) for i in range(19)] + [(0, 21), (0, 22), (18, 20), (19, 20)]
+        g = Graph(23, tuple(edges))
+        assert g._components[0][0][0] == 0 and g._components[1][20] == 19
+        made = count_intersections(monkeypatch)
+        assert not graphs.is_triangle_free(g) and len(made) == 1
+        self.check(g)
+
+    def test_triangle_inside_one_level(self):
+        # the root 0 reaches the triangle 4-5-6 through three paths of length
+        # 2, so all three of its edges lie inside level 2
+        g = Graph(7, ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6)))
+        assert g._components[0][0][0] == 0 and {g._components[1][v] for v in (4, 5, 6)} == {2}
+        assert not graphs.is_triangle_free(g)
+
+    @pytest.mark.parametrize("g", [*(make_complete_bipartite(m, n) for m, n in KMN),
+                                   make_hypercube(4), make_cycle(8), make_path(9),
+                                   make_hub_tree(3, 4), make_gdn(4, 6), cycles(4, 6, 8),
+                                   Graph(5, ())],
+                             ids=[*(f"K{m},{n}" for m, n in KMN), "Q4", "C8", "P9",
+                                  "hub-tree", "gdn-4-6", "C4+C6+C8", "5K1"])
+    def test_bipartite_intersects_nothing(self, monkeypatch, g):
+        made = count_intersections(monkeypatch)
+        assert graphs.is_bipartite(g) and graphs.is_triangle_free(g)
+        assert made == []
+
+    @pytest.mark.parametrize("parts", [(1,) * 5, (1,) * 7, (2, 1, 3, 1, 4), (4,) * 5,
+                                       (1, 2, 3, 4, 1, 2, 3), (3, 4) * 3 + (2,)])
+    def test_level_edges_intersect_once_each(self, monkeypatch, parts):
+        g = blowup(parts)
+        made = count_intersections(monkeypatch)
+        assert graphs.is_triangle_free(g) and not graphs.is_bipartite(g)
+        assert len(made) == level_edges(g) > 0
+
+
 @st.composite
 def random_trees(draw, max_vertices=40):
     """A tree on up to `max_vertices` vertices: each vertex after the first
