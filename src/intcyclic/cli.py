@@ -44,14 +44,22 @@ def _load(path: str, cls=Graph) -> Graph | EdgeColoring:
         raise CliError(f"bad {kind} file {path}: {exc}")
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror}")
+def _write(*outputs: tuple[str | None, str]) -> None:
+    # each (path, text) goes to its file, or to stdout for None or "-"; files
+    # go first, and a failed write removes the files already written, so it
+    # leaves no partial result, such as a graph without its certificate
+    written = []
+    for path, text in sorted(outputs, key=lambda out: out[0] in (None, "-")):
+        if path in (None, "-"):
+            sys.stdout.write(text)
+            continue
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            for done in written:
+                Path(done).unlink()
+            raise CliError(f"cannot write {path}: {exc.strerror}")
+        written.append(path)
 
 
 def _int_params(params: list[str], family: str) -> list[int]:
@@ -75,12 +83,12 @@ def _cmd_gen(args) -> int:
         if not args.graph:
             raise CliError("gen tree-hat needs a tree file via -g")
         g = make_tree_hat(_load(args.graph))
-        _write(args.output, g.to_json())
+        _write((args.output, g.to_json()))
         return EXIT_OK
     if args.family == "noncolorable":
         return _cmd_gen_noncolorable(args)
     g = graphs_mod.make_family(args.family, _int_params(args.params, args.family))
-    _write(args.output, g.to_json())
+    _write((args.output, g.to_json()))
     return EXIT_OK
 
 
@@ -99,8 +107,7 @@ def _cmd_gen_noncolorable(args) -> int:
         g, cert = build_certified_tree_hat(tree)
     else:
         raise CliError("gen noncolorable needs --rule kstar|tree-hat")
-    _write(args.output, g.to_json())
-    _write(args.cert, canonical_json(cert.to_dict()))
+    _write((args.output, g.to_json()), (args.cert, canonical_json(cert.to_dict())))
     return EXIT_OK if cert.passed else EXIT_NEGATIVE
 
 
@@ -120,10 +127,7 @@ def _cmd_color(args) -> int:
     else:
         g, coloring, *classes = cons.build_construction(
             name, _int_params(args.params, name), args.t)
-    if args.output:
-        _write(args.output, g.to_json())
-    if args.coloring:
-        _write(args.coloring, coloring.to_json())
+    _write(*[(p, x.to_json()) for p, x in ((args.output, g), (args.coloring, coloring)) if p])
     summary = {"t": coloring.t, "edges": g.edge_count}
     if classes:
         summary["classes"] = list(classes[0])
@@ -180,9 +184,7 @@ def _cmd_scan(args) -> int:
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise CliError(f"not a directory: {args.corpus}")
-    graphs = []
-    for path in sorted(corpus_dir.glob("*.json")):
-        graphs.append(_load(str(path)))
+    graphs = [_load(str(path)) for path in sorted(corpus_dir.glob("*.json"))]
     report = solver.conjecture_scan(graphs, node_budget=args.budget, jobs=args.jobs)
     sys.stdout.write(canonical_json(report.to_dict()))
     return EXIT_NEGATIVE if report.counterexamples else EXIT_OK
@@ -210,7 +212,7 @@ def _cmd_export_dot(args) -> int:
             lines.append(
                 f'  {u} -- {v} [label="{c}", color="{_hsv_ramp(c, coloring.t)}"];')
     lines.append("}")
-    _write(args.output, "\n".join(lines) + "\n")
+    _write((args.output, "\n".join(lines) + "\n"))
     return EXIT_OK
 
 

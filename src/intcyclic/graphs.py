@@ -10,11 +10,10 @@ heaviest shortest path from src (vertex weight deg - 1).  It has two
 callers.  The component pass, once per graph, walks each component from its
 first maximum-degree vertex, where the search starts (see
 solver._search_order), and keeps the walks, depths and f; it answers
-connectivity, bipartiteness and triangle-freeness (every triangle has an
-edge inside a BFS level).  The sweep gives diameter() and
-heaviest_shortest_path().  A regular graph reads W off its degree (see
-_regular_sweep) and its largest eccentricity off the component pass at
-degree <= 2, or off reach sets grown as bitsets above that: about
+connectivity, bipartiteness and triangle-freeness.  The sweep gives
+diameter() and heaviest_shortest_path().  A regular graph reads W off its
+degree (see _regular_sweep) and its largest eccentricity off the component
+pass at degree <= 2, or off reach sets grown as bitsets above that: about
 diam * 2|E| big-int ORs per block of _REACH_BLOCK targets.  A tree runs a
 BFS from two sources read off the component pass.  Any other graph, forests
 included, runs a BFS from every vertex except leaves and twins (see
@@ -297,10 +296,16 @@ def is_triangle_free(g: Graph) -> bool:
     # Itai and Rodeh (SIAM J. Comput. 7, 1978): every edge joins two BFS
     # levels at most one apart, so two of a triangle's three vertices share a
     # level, and every triangle has an edge inside a level.  Only those edges
-    # are tested; a bipartite graph has none, and intersects no neighbourhoods
-    dist, adjacency = g._components[1], g.adjacency
-    return all(dist[u] != dist[v] or set(adjacency[u]).isdisjoint(adjacency[v])
-               for u, v in g.edges)
+    # are tested; a bipartite graph has none, and builds no neighbourhood set.
+    # The first such edge builds every set once, and a set-to-set isdisjoint
+    # walks the smaller one, so an edge costs O(min degree), even at a hub
+    dist, adjacency, neigh = g._components[1], g.adjacency, None
+    for u, v in g.edges:
+        if dist[u] == dist[v]:
+            neigh = neigh or [set(a) for a in adjacency]
+            if not neigh[u].isdisjoint(neigh[v]):
+                return False
+    return True
 
 
 def is_tree(g: Graph) -> bool:

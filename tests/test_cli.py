@@ -482,11 +482,14 @@ def test_usage_error_exit_code(capsys):
     ("gen", "cycle", "5", "-o", "MISSING"),
     ("gen", "noncolorable", "--rule", "kstar", "--n", "1", "--m", "1",
      "-o", "OUT", "--cert", "MISSING"),
+    ("gen", "noncolorable", "--rule", "kstar", "--n", "1", "--m", "1", "--cert", "MISSING"),
+    ("color", "hypercube-cyclic", "3", "-o", "OUT", "-c", "MISSING"),
     ("scan", "--corpus", "CORPUS"),
 ], ids=["bounds-dir", "solve-dir", "check-dir", "gen-missing-dir", "cert-missing-dir",
-        "scan-dir-entry"])
+        "cert-missing-dir-graph-on-stdout", "color-missing-dir", "scan-dir-entry"])
 def test_unreadable_or_unwritable_file_is_format_error(tmp_path, capsys, argv):
-    # exit 1 would read as an answer (invalid, rejected, counterexample)
+    # exit 1 would read as an answer (invalid, rejected, counterexample); a
+    # failed write leaves no partial result, on stdout or in another file
     files = {"DIR": tmp_path / "dir", "G": tmp_path / "g.json", "OUT": tmp_path / "out.json",
              "MISSING": tmp_path / "missing" / "x.json", "CORPUS": tmp_path / "corpus"}
     files["DIR"].mkdir()
@@ -494,5 +497,5 @@ def test_unreadable_or_unwritable_file_is_format_error(tmp_path, capsys, argv):
     run(capsys, "gen", "cycle", "5", "-o", str(files["G"]))
     run(capsys, "gen", "cycle", "4", "-o", str(files["CORPUS"] / "c4.json"))
     code, stdout, err = run(capsys, *(str(files.get(a, a)) for a in argv))
-    assert code == EXPECTED_FORMAT_ERROR and stdout == ""
+    assert code == EXPECTED_FORMAT_ERROR and stdout == "" and not files["OUT"].exists()
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

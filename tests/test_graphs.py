@@ -570,12 +570,25 @@ def blowup(parts):
     return Graph(starts[-1], tuple(edges))
 
 
-def count_intersections(mp):
-    """Every neighbourhood set is_triangle_free builds from now on: set() in
-    graphs' namespace is called by it alone."""
-    made = []
-    mp.setattr(graphs, "set", lambda a: made.append(a) or set(a), raising=False)
-    return made
+def count_work(mp):
+    """The size of each neighbourhood set is_triangle_free builds from now
+    on, and for each intersection the elements it walks, through set()
+    shadowed in graphs' namespace, where is_triangle_free is its only
+    caller.  isdisjoint walks the smaller of two sets, or all of an argument
+    that is no set."""
+    built, walked = [], []
+
+    class CountingSet(set):
+        def __init__(self, items):
+            super().__init__(items)
+            built.append(len(self))
+
+        def isdisjoint(self, other):
+            walked.append(min(len(self), len(other)) if isinstance(other, set) else len(other))
+            return super().isdisjoint(other)
+
+    mp.setattr(graphs, "set", CountingSet, raising=False)
+    return built, walked
 
 
 def level_edges(g):
@@ -619,8 +632,9 @@ class TestTriangleFree:
         edges = [(i, i + 1) for i in range(19)] + [(0, 21), (0, 22), (18, 20), (19, 20)]
         g = Graph(23, tuple(edges))
         assert g._components[0][0][0] == 0 and g._components[1][20] == 19
-        made = count_intersections(monkeypatch)
-        assert not graphs.is_triangle_free(g) and len(made) == 1
+        built, walked = count_work(monkeypatch)
+        assert not graphs.is_triangle_free(g)
+        assert len(built) == g.vertex_count and len(walked) == 1
         self.check(g)
 
     def test_triangle_inside_one_level(self):
@@ -637,17 +651,31 @@ class TestTriangleFree:
                              ids=[*(f"K{m},{n}" for m, n in KMN), "Q4", "C8", "P9",
                                   "hub-tree", "gdn-4-6", "C4+C6+C8", "5K1"])
     def test_bipartite_intersects_nothing(self, monkeypatch, g):
-        made = count_intersections(monkeypatch)
+        built, walked = count_work(monkeypatch)
         assert graphs.is_bipartite(g) and graphs.is_triangle_free(g)
-        assert made == []
+        assert built == walked == []
 
     @pytest.mark.parametrize("parts", [(1,) * 5, (1,) * 7, (2, 1, 3, 1, 4), (4,) * 5,
                                        (1, 2, 3, 4, 1, 2, 3), (3, 4) * 3 + (2,)])
     def test_level_edges_intersect_once_each(self, monkeypatch, parts):
         g = blowup(parts)
-        made = count_intersections(monkeypatch)
+        built, walked = count_work(monkeypatch)
         assert graphs.is_triangle_free(g) and not graphs.is_bipartite(g)
-        assert len(made) == level_edges(g) > 0
+        assert len(walked) == level_edges(g) > 0 and len(built) == g.vertex_count
+
+    def test_hub_level_edges_cost_their_smaller_degree(self, monkeypatch):
+        # the root 0 has 2D pendant leaves and the neighbours 1 and 2; 3 hangs
+        # off 1, and 4..D+3 off 2; 3 meets each of 4..D+3.  Those D edges lie
+        # inside level 2 at the hub 3 of degree D + 1, and each walks the 2
+        # neighbours of its other end, so the work is linear in |E|
+        d = 300
+        edges = [(0, 1), (0, 2), (1, 3), *((2, v) for v in range(4, d + 4)),
+                 *((3, v) for v in range(4, d + 4)), *((0, v) for v in range(d + 4, 3 * d + 4))]
+        g = Graph(3 * d + 4, tuple(edges))
+        assert g._components[0][0][0] == 0 and {g._components[1][v] for v in range(3, d + 4)} == {2}
+        built, walked = count_work(monkeypatch)
+        assert graphs.is_triangle_free(g) and not graphs.is_bipartite(g)
+        assert sum(built) == 2 * g.edge_count and walked == [2] * d
 
 
 @st.composite
