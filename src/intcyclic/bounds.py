@@ -40,7 +40,6 @@ class BoundEntry:
 @dataclass(frozen=True)
 class ParityObstruction:
     excludes_even: bool
-    premises: tuple[tuple[str, bool], ...]
 
     @property
     def description(self) -> str:
@@ -48,10 +47,6 @@ class ParityObstruction:
 
     def excludes(self, t: int) -> bool:
         return self.excludes_even and t % 2 == 0
-
-    def to_dict(self) -> dict:
-        return {"excluded_t": self.description,
-                "premises": {k: v for k, v in self.premises}}
 
 
 @dataclass(frozen=True)
@@ -134,12 +129,7 @@ def bound_bipartite_diam(g: Graph) -> Optional[int]:
 def parity_obstruction(g: Graph) -> ParityObstruction:
     """Eulerian graphs with an odd edge count admit no coloring with an even
     number of colors."""
-    m = metrics(g)
-    odd_edges = g.edge_count % 2 == 1
-    return ParityObstruction(
-        excludes_even=m.is_eulerian and odd_edges,
-        premises=(("eulerian", m.is_eulerian), ("odd-edge-count", odd_edges)),
-    )
+    return ParityObstruction(metrics(g).is_eulerian and g.edge_count % 2 == 1)
 
 
 def matching_floor(g: Graph) -> int:

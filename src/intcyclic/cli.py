@@ -69,6 +69,15 @@ def _int_params(params: list[str], family: str) -> list[int]:
         raise CliError(f"{family} parameters must be integers: {params}")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int of at least low, else a usage error (exit 2)."""
+    def integer(text: str) -> int:  # argparse names it: "invalid integer value"
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _refuse_params(args, family: str) -> None:
     """A family built from files and flags takes no positional parameter;
     refuse one rather than drop it."""
@@ -79,15 +88,14 @@ def _refuse_params(args, family: str) -> None:
 def _cmd_gen(args) -> int:
     if args.family in ("tree-hat", "noncolorable"):
         _refuse_params(args, args.family)
+    if args.family == "noncolorable":
+        return _cmd_gen_noncolorable(args)
     if args.family == "tree-hat":
         if not args.graph:
             raise CliError("gen tree-hat needs a tree file via -g")
         g = make_tree_hat(_load(args.graph))
-        _write((args.output, g.to_json()))
-        return EXIT_OK
-    if args.family == "noncolorable":
-        return _cmd_gen_noncolorable(args)
-    g = graphs_mod.make_family(args.family, _int_params(args.params, args.family))
+    else:
+        g = graphs_mod.make_family(args.family, _int_params(args.params, args.family))
     _write((args.output, g.to_json()))
     return EXIT_OK
 
@@ -100,7 +108,7 @@ def _cmd_gen_noncolorable(args) -> int:
     elif args.rule == "tree-hat":
         if args.graph:
             tree = _load(args.graph)
-        elif args.hubs and args.leaves:
+        elif args.hubs is not None and args.leaves is not None:
             tree = make_hub_tree(args.hubs, args.leaves)
         else:
             raise CliError("noncolorable --rule tree-hat needs -g TREE or --hubs/--leaves")
@@ -149,11 +157,8 @@ def _cmd_solve(args) -> int:
     if args.t is not None:
         out = solver.decide(g, args.t, args.budget)
         sys.stdout.write(canonical_json(out.to_dict()))
-        if out.decision == solver.FEASIBLE:
-            return EXIT_OK
-        if out.decision == solver.INFEASIBLE:
-            return EXIT_NEGATIVE
-        return EXIT_BUDGET
+        return {solver.FEASIBLE: EXIT_OK, solver.INFEASIBLE: EXIT_NEGATIVE}.get(
+            out.decision, EXIT_BUDGET)
     fs = solver.feasible_set(g, t_hi=args.t_hi, node_budget=args.budget, jobs=args.jobs)
     sys.stdout.write(canonical_json(fs.to_dict()))
     return EXIT_OK if fs.exhausted else EXIT_BUDGET
@@ -266,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--t", type=int, default=None, help="decide this color count")
     group.add_argument("--feasible-set", action="store_true")
     p.add_argument("--t-hi", type=int, default=None, help="cap the searched range")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_int_at_least(0), default=None,
                    help=f"search node budget per t (default {solver.DEFAULT_NODE_BUDGET})")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over t values")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="workers over t values")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bounds", help="print the bound report for a graph")
@@ -277,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="witness coloring or non-colorability certificate")
     p.add_argument("-g", "--graph", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("scan", help="conjecture scan over a directory of graph files")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="workers over graphs")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("export-dot", help="emit DOT with edge color labels")

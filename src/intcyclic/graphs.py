@@ -199,9 +199,13 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
 
-    def digest(self) -> str:
-        """Short stable identifier derived from the canonical JSON form."""
+    @cached_property
+    def _digest(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
+
+    def digest(self) -> str:
+        """Short stable identifier of the canonical JSON form, once per object."""
+        return self._digest
 
     def to_dict(self) -> dict:
         d: dict = {"vertex_count": self.vertex_count, "edges": [list(e) for e in self.edges]}
@@ -210,7 +214,12 @@ class Graph:
         return d
 
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        # the bytes of canonical_json(self.to_dict()): json writes a tuple as
+        # an array, so the edges go out without a list built per edge
+        d: dict = {"vertex_count": self.vertex_count, "edges": self.edges}
+        if self.labels is not None:
+            d["labels"] = self.labels
+        return canonical_json(d)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Graph":

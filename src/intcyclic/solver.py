@@ -32,7 +32,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import bounds as bounds_mod
 from . import noncolorable as nc
@@ -308,9 +309,17 @@ def search_range(g: Graph, t_hi: Optional[int] = None) -> tuple[int, int]:
     return lo, hi
 
 
-def _decide_task(args: tuple[Graph, int, Optional[int]]) -> SolveOutcome:
-    g, t, budget = args
-    return decide(g, t, budget)
+def _map_tasks(fn: Callable, tasks: Iterable, jobs: int) -> Iterator:
+    """fn over tasks, in order; the one owner of worker processes.  One pool
+    of min(jobs, tasks, CPUs) workers when that is above 1; else each task runs
+    here when its result is asked for, so a caller may stop early."""
+    if jobs > 1:
+        tasks = list(tasks)
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return iter(list(pool.map(fn, tasks)))
+    return map(fn, tasks)
 
 
 def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
@@ -318,23 +327,14 @@ def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
     """Settle each t in [lo, hi] in ascending order, yielding its record,
     which carries its witness when feasible.  A t that parity excludes, or that
     lies below bounds.matching_floor (matching capacity), is infeasible with
-    no search; every other t goes to decide().  At most min(jobs, searched t
-    values, CPU count) worker processes run; with one, each t is searched
-    in-process only when the caller asks for its record, so a caller may stop
-    early."""
+    no search; every other t goes to decide(), through _map_tasks."""
     parity = bounds_mod.parity_obstruction(g)
     floor = bounds_mod.matching_floor(g)
     ts = range(lo, hi + 1)
     theorem = {t: PARITY if parity.excludes(t) else MATCHING for t in ts
                if parity.excludes(t) or t < floor}
     searched = [t for t in ts if t not in theorem]
-    workers = min(jobs, len(searched), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = iter(list(pool.map(_decide_task,
-                                          [(g, t, node_budget) for t in searched])))
-    else:
-        outcomes = (decide(g, t, node_budget) for t in searched)
+    outcomes = _map_tasks(partial(decide, g, node_budget=node_budget), searched, jobs)
     for t in ts:
         if t in theorem:
             yield TDecision(t, INFEASIBLE, theorem[t], 0)
@@ -441,24 +441,26 @@ class ScanReport:
                 "skipped": sum(1 for r in self.records if r.skipped)}
 
 
+def _scan_record(node_budget: Optional[int], g: Graph) -> ScanRecord:
+    fs = feasible_set(g, node_budget=node_budget)
+    m = metrics(g)
+    w_max = max(fs.members) if fs.members and fs.exhausted else None
+    gap_free = None if w_max is None else fs.members == tuple(range(fs.members[0], w_max + 1))
+    applies_1 = m.is_connected and m.is_triangle_free and w_max is not None
+    applies_2 = m.is_connected and g.vertex_count >= 2 and w_max is not None
+    return ScanRecord(
+        fs.graph_digest, g.vertex_count, g.edge_count, not fs.exhausted, fs.members, w_max,
+        gap_free,
+        applies_1, (w_max <= g.vertex_count) if applies_1 else None,
+        applies_2, (w_max <= 2 * g.vertex_count - 3) if applies_2 else None,
+    )
+
+
 def conjecture_scan(corpus: Iterable[Graph], node_budget: Optional[int] = None,
                     jobs: int = 1) -> ScanReport:
     """Check every graph's largest usable color count against the conjectured
     order bounds (|V| for connected triangle-free graphs, 2|V|-3 for connected
     graphs) and record gap-freeness; graphs whose search timed out are marked
-    skipped and judged on nothing."""
-    records = []
-    for g in corpus:
-        fs = feasible_set(g, node_budget=node_budget, jobs=jobs)
-        m = metrics(g)
-        w_max = max(fs.members) if fs.members and fs.exhausted else None
-        gap_free = None if w_max is None else fs.members == tuple(range(fs.members[0], w_max + 1))
-        applies_1 = m.is_connected and m.is_triangle_free and w_max is not None
-        applies_2 = m.is_connected and g.vertex_count >= 2 and w_max is not None
-        records.append(ScanRecord(
-            g.digest(), g.vertex_count, g.edge_count, not fs.exhausted, fs.members, w_max,
-            gap_free,
-            applies_1, (w_max <= g.vertex_count) if applies_1 else None,
-            applies_2, (w_max <= 2 * g.vertex_count - 3) if applies_2 else None,
-        ))
-    return ScanReport(tuple(records))
+    skipped and judged on nothing.  Workers (see _map_tasks) take whole
+    graphs, each settled in one process, and the records keep corpus order."""
+    return ScanReport(tuple(_map_tasks(partial(_scan_record, node_budget), corpus, jobs)))

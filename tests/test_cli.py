@@ -499,3 +499,107 @@ def test_unreadable_or_unwritable_file_is_format_error(tmp_path, capsys, argv):
     code, stdout, err = run(capsys, *(str(files.get(a, a)) for a in argv))
     assert code == EXPECTED_FORMAT_ERROR and stdout == "" and not files["OUT"].exists()
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# out-of-range numbers are refused by the parser, before any file is read:
+# a negative budget would read as "budget exhausted" (exit 3), and a negative
+# --jobs would run
+@pytest.mark.parametrize("argv", [
+    ("solve", "-g", "G", "--t", "3", "--budget", "-5"),
+    ("solve", "-g", "G", "--feasible-set", "--budget", "-1"),
+    ("solve", "-g", "G", "--feasible-set", "--jobs", "-3"),
+    ("solve", "-g", "G", "--feasible-set", "--jobs", "0"),
+    ("solve", "-g", "G", "--feasible-set", "--jobs", "two"),
+    ("certify", "-g", "G", "--budget", "-1"),
+    ("certify", "-g", "G", "--budget", "1.5"),
+    ("scan", "--corpus", "CORPUS", "--budget", "-1"),
+    ("scan", "--corpus", "CORPUS", "--jobs", "0"),
+])
+def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv):
+    files = {"G": tmp_path / "g.json", "CORPUS": tmp_path / "corpus"}
+    files["CORPUS"].mkdir()
+    run(capsys, "gen", "cycle", "3", "-o", str(files["G"]))
+    run(capsys, "gen", "cycle", "3", "-o", str(files["CORPUS"] / "c3.json"))
+    code, stdout, err = run(capsys, *(str(files.get(a, a)) for a in argv))
+    assert code == EXPECTED_FORMAT_ERROR and stdout == ""
+    assert "must be at least" in err or "invalid integer value" in err
+
+
+def test_zero_budget_is_legal(tmp_path, capsys):
+    g_path = tmp_path / "c3.json"
+    run(capsys, "gen", "cycle", "3", "-o", str(g_path))
+    code, stdout, _ = run(capsys, "solve", "-g", str(g_path), "--t", "3", "--budget", "0")
+    assert code == 3 and json.loads(stdout)["decision"] == "timeout"
+    code, stdout, _ = run(capsys, "certify", "-g", str(g_path), "--budget", "0")
+    assert code == 3 and json.loads(stdout)["status"] == "inconclusive"
+
+
+# each of these is refused with exit 2, a one-line error and nothing written
+@pytest.mark.parametrize("argv,message", [
+    (("gen", "cycle", "five"), "must be integers"),
+    (("gen", "tree-hat", "-o", "OUT"), "needs a tree file"),
+    (("gen", "noncolorable", "--rule", "kstar", "--n", "2", "-o", "OUT"), "--n and --m"),
+    (("gen", "noncolorable", "--rule", "kstar", "--m", "12", "-o", "OUT"), "--n and --m"),
+    (("gen", "noncolorable", "-o", "OUT"), "needs --rule"),
+    (("gen", "noncolorable", "--rule", "tree-hat", "-o", "OUT"), "-g TREE or --hubs/--leaves"),
+    (("gen", "noncolorable", "--rule", "tree-hat", "--hubs", "4", "-o", "OUT"),
+     "-g TREE or --hubs/--leaves"),
+    # a zero reaches the builder, which names the parameters it needs
+    (("gen", "noncolorable", "--rule", "tree-hat", "--hubs", "0", "--leaves", "3",
+      "-o", "OUT"), "needs hubs, leaves_per_hub >= 1"),
+    (("color", "mod-reduce", "-g", "G", "--t", "3", "-c", "OUT"), "needs -g GRAPH"),
+    (("color", "mod-reduce", "--input-coloring", "C", "--t", "3", "-c", "OUT"),
+     "needs -g GRAPH"),
+    (("color", "mod-reduce", "-g", "G", "--input-coloring", "C", "-c", "OUT"),
+     "needs -g GRAPH"),
+    (("scan", "--corpus", "G"), "not a directory"),
+    (("export-dot", "-g", "G", "-c", "C", "-o", "OUT"), "edge count"),
+], ids=["gen-non-integer", "gen-tree-hat-no-graph", "kstar-no-m", "kstar-no-n",
+        "noncolorable-no-rule", "tree-hat-no-tree", "tree-hat-no-leaves", "tree-hat-zero-hubs",
+        "mod-reduce-no-coloring", "mod-reduce-no-graph", "mod-reduce-no-t", "scan-file",
+        "export-dot-wrong-length"])
+def test_refused_call(tmp_path, capsys, argv, message):
+    files = {"G": tmp_path / "g.json", "C": tmp_path / "c.json", "OUT": tmp_path / "out.json"}
+    run(capsys, "gen", "cycle", "4", "-o", str(files["G"]))
+    files["C"].write_text('{"t": 3, "colors": [1, 2, 3]}\n')
+    code, stdout, err = run(capsys, *(str(files.get(a, a)) for a in argv))
+    assert code == EXPECTED_FORMAT_ERROR and stdout == "" and not files["OUT"].exists()
+    assert message in err and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_noncolorable_tree_hat_from_file(tmp_path, capsys):
+    # -g TREE certifies the hat of the given tree: the same graph and
+    # certificate as building the tree from --hubs/--leaves
+    tree = tmp_path / "tree.json"
+    run(capsys, "gen", "hub-tree", "10", "10", "-o", str(tree))
+    code, from_file, _ = run(capsys, "gen", "noncolorable", "--rule", "tree-hat",
+                             "-g", str(tree), "-o", str(tmp_path / "a.json"))
+    assert code == 0 and json.loads(from_file)["passed"]
+    code, from_flags, _ = run(capsys, "gen", "noncolorable", "--rule", "tree-hat",
+                              "--hubs", "10", "--leaves", "10", "-o", str(tmp_path / "b.json"))
+    assert code == 0 and from_flags == from_file
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_mod_reduce_refuses_coloring_that_is_not_interval(tmp_path, capsys):
+    # a cyclic coloring of C_4 that is no interval coloring: vertices 0 and 3 see 1 and 3
+    g_path, c_path, out = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "out.json"
+    run(capsys, "gen", "cycle", "4", "-o", str(g_path))
+    c_path.write_text('{"t": 3, "colors": [1, 3, 2, 1]}\n')
+    code, stdout, err = run(capsys, "color", "mod-reduce", "-g", str(g_path),
+                            "--input-coloring", str(c_path), "--t", "3", "-c", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert "not interval-valid" in err
+
+
+def test_scan_jobs_byte_stable(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for family, *params in [("cycle", 5), ("complete", 4), ("path", 4), ("hypercube", 3),
+                            ("complete-bipartite", 2, 3)]:
+        run(capsys, "gen", family, *map(str, params),
+            "-o", str(corpus / f"{family}{params[0]}.json"))
+    code1, out1, _ = run(capsys, "scan", "--corpus", str(corpus))
+    code2, out2, _ = run(capsys, "scan", "--corpus", str(corpus), "--jobs", "2")
+    assert code1 == code2 == 0 and out1 == out2
+    assert len(json.loads(out1)["records"]) == 5

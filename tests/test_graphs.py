@@ -870,6 +870,23 @@ class TestJson:
         assert again == g
         assert again.to_json() == text
 
+    @pytest.mark.parametrize("g", [make_gdn(3, 4), make_path(3), Graph(0, ()),
+                                   Graph(2, ((0, 1),), ('a"b', "c"))])
+    def test_json_is_the_dict_form(self, g):
+        # to_json writes the tuples as they are; to_dict keeps giving lists
+        d = g.to_dict()
+        assert g.to_json() == graphs.canonical_json(d)
+        assert type(d["edges"]) is list and all(type(e) is list for e in d["edges"])
+        assert g.labels is None or type(d["labels"]) is list
+
+    def test_digest_serializes_once_per_object(self, monkeypatch):
+        written = []
+        real = Graph.to_json
+        monkeypatch.setattr(Graph, "to_json", lambda g: written.append(g) or real(g))
+        g = make_cycle(5)
+        assert g.digest() == g.digest() == Graph(5, g.edges).digest()
+        assert written == [g, Graph(5, g.edges)]
+
     def test_bad_json_rejected(self):
         with pytest.raises(GraphError):
             Graph.from_json("{not json")

@@ -121,6 +121,26 @@ class TestDetection:
         assert cert == want and cert.passed
         assert cert.notes == ("all leaf distances even; the emitted graph is bipartite",)
 
+    def test_match_analytic_skips_apex_that_leaves_no_tree(self, monkeypatch):
+        # u = 0 joins three triangles (its six neighbours have degree 2) and a
+        # K_4 lies apart: deg(u) = |E| - |V| + 2 = 15 - 11 + 2 = 6, but g - u
+        # is four components, so it is no tree and u is skipped
+        k4 = [(a, b) for a in range(7, 11) for b in range(a + 1, 11)]
+        g = Graph(11, ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6),
+                       (5, 6), *k4))
+        assert g.degrees[0] == g.edge_count - g.vertex_count + 2 == 6
+        assert all(g.degrees[v] == 2 for v in g.adjacency[0]) and min(g.degrees) >= 2
+        deleted = []
+        real = nc._delete_vertex
+        monkeypatch.setattr(nc, "_delete_vertex", lambda g, u: deleted.append(u) or real(g, u))
+
+        def certified(*_):
+            raise AssertionError("a graph that is no tree was certified as one")
+
+        monkeypatch.setattr(nc, "_tree_hat_certificate", certified)
+        assert match_analytic(g) is None
+        assert deleted == [0]
+
     def test_match_analytic_none_for_plain_graphs(self):
         assert match_analytic(make_cycle(6)) is None
         assert match_analytic(make_complete(5)) is None

@@ -415,6 +415,20 @@ class TestFeasibleSet:
         assert seen == started
         assert fs.members == (3, 4) and fs.exhausted
 
+    def test_jobs_give_the_same_record(self):
+        # witnesses and node counts too, not only the members
+        g = make_complete(5)
+        assert feasible_set(g, jobs=2).to_dict() == feasible_set(g).to_dict()
+
+    def test_graph_serialized_once(self, monkeypatch):
+        # bounds.report and the set both name the graph by its digest
+        written = []
+        real = Graph.to_json
+        monkeypatch.setattr(Graph, "to_json", lambda g: written.append(g) or real(g))
+        g = make_cycle(6)
+        fs = feasible_set(g)
+        assert written == [g] and fs.graph_digest == g.digest()
+
     def test_search_order_built_once_per_graph(self, monkeypatch):
         built = []
         for name in ("_search_order", "_twin_links"):
@@ -653,3 +667,60 @@ class TestConjectureScan:
         report = conjecture_scan([make_complete(7)], node_budget=2_000)
         assert report.records[0].skipped
         assert not report.counterexamples
+
+    def test_jobs_hand_out_whole_graphs(self):
+        corpus = [make_cycle(5), make_complete(4), make_path(4), make_hypercube(3)]
+        assert conjecture_scan(corpus, jobs=2).to_dict() == conjecture_scan(corpus).to_dict()
+
+    # a fake pool records the pools that start: the scan starts one for the
+    # whole corpus (one per graph would be one per feasible set), and none
+    # for one worker
+    @pytest.mark.parametrize("jobs,started", [(2, [2]), (10**6, [4]), (1, [])])
+    def test_one_pool_per_scan(self, monkeypatch, jobs, started):
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        corpus = [make_cycle(5), make_complete(4), make_path(4), make_cycle(6),
+                  make_complete_bipartite(2, 3)]
+        want = conjecture_scan(corpus).to_dict()
+        monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: 4)
+        report = conjecture_scan(corpus, jobs=jobs)
+        assert seen == started
+        assert report.to_dict() == want
+
+    def test_one_worker_reads_the_corpus_one_graph_at_a_time(self, monkeypatch):
+        events = []
+
+        def corpus():
+            for n in (3, 4, 5):
+                events.append(("read", n))
+                yield make_cycle(n)
+
+        real = solver.feasible_set
+        monkeypatch.setattr(solver, "feasible_set",
+                            lambda g, **kw: events.append(("solve", g.vertex_count))
+                            or real(g, **kw))
+        report = conjecture_scan(corpus())
+        assert events == [(step, n) for n in (3, 4, 5) for step in ("read", "solve")]
+        assert [r.vertex_count for r in report.records] == [3, 4, 5]
+
+    def test_graph_serialized_once(self, monkeypatch):
+        written = []
+        real = Graph.to_json
+        monkeypatch.setattr(Graph, "to_json", lambda g: written.append(g) or real(g))
+        g = make_cycle(6)
+        report = conjecture_scan([g])
+        assert written == [g] and report.records[0].graph_digest == g.digest()
