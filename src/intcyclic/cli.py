@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -47,7 +48,12 @@ def _load(path: str, cls=Graph) -> Graph | EdgeColoring:
 def _write(*outputs: tuple[str | None, str]) -> None:
     # each (path, text) goes to its file, or to stdout for None or "-"; files
     # go first, and a failed write removes the files already written, so it
-    # leaves no partial result, such as a graph without its certificate
+    # leaves no partial result, such as a graph without its certificate.  A
+    # file named twice would keep only the last text, so it is refused first
+    files = [os.path.realpath(path) for path, _ in outputs if path not in (None, "-")]
+    for i, file in enumerate(files):
+        if file in files[:i]:
+            raise CliError(f"output path given twice: {file}")
     written = []
     for path, text in sorted(outputs, key=lambda out: out[0] in (None, "-")):
         if path in (None, "-"):
@@ -156,7 +162,10 @@ def _cmd_solve(args) -> int:
     g = _load(args.graph)
     if args.t is not None:
         out = solver.decide(g, args.t, args.budget)
-        sys.stdout.write(canonical_json(out.to_dict()))
+        answer = {"decision": out.decision, "t": out.t, "nodes_explored": out.nodes_explored}
+        if out.witness is not None:
+            answer["witness"] = out.witness.to_dict()
+        sys.stdout.write(canonical_json(answer))
         return {solver.FEASIBLE: EXIT_OK, solver.INFEASIBLE: EXIT_NEGATIVE}.get(
             out.decision, EXIT_BUDGET)
     fs = solver.feasible_set(g, t_hi=args.t_hi, node_budget=args.budget, jobs=args.jobs)
@@ -255,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--graph", default=None, help="input graph (mod-reduce)")
     p.add_argument("--input-coloring", dest="coloring_in", default=None,
                    help="input coloring (mod-reduce)")
-    p.add_argument("--t", type=int, default=None,
+    p.add_argument("--t", type=_int_at_least(1), default=None,
                    help="target color count (mod-reduce, or fold an interval construction)")
     p.set_defaults(func=_cmd_color)
 
@@ -270,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--t", type=int, default=None, help="decide this color count")
     group.add_argument("--feasible-set", action="store_true")
-    p.add_argument("--t-hi", type=int, default=None, help="cap the searched range")
+    p.add_argument("--t-hi", type=_int_at_least(1), default=None, help="cap the searched range")
     p.add_argument("--budget", type=_int_at_least(0), default=None,
                    help=f"search node budget per t (default {solver.DEFAULT_NODE_BUDGET})")
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="workers over t values")

@@ -18,12 +18,15 @@ outcome, never as infeasibility.  With a fixed budget and a single worker,
 results are bit-identical run to run.
 
 feasible_set() and certify_noncolorable() settle the color counts of the
-bounded range through one planner, _plan().  A count that a theorem excludes
-is recorded as infeasible with 0 nodes and never searched: source "parity"
-for an even t of an Eulerian graph with an odd edge count, source "matching"
-for a t below bounds.matching_floor, where |E| > t * floor(|V|/2).  Every
-other count is decided by decide() and recorded with source "search" and its
-node count.
+bounded range through one planner, _plan().  Each count has one record, a
+SolveOutcome.  A count that a theorem excludes is recorded as infeasible with
+0 nodes and never searched: source "parity" for an even t of an Eulerian
+graph with an odd edge count, source "matching" for a t below
+bounds.matching_floor, where |E| > t * floor(|V|/2).  Every other count is
+decided by decide(), and its record is the outcome decide() returned, with
+source "search", its node count and its wall time.  A FeasibleSet holds the
+records of one graph; extremal() returns it, read for w_c and W_c, its least
+and greatest members.
 """
 
 from __future__ import annotations
@@ -53,33 +56,20 @@ MATCHING = "matching"
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """How one color count was settled: by decide() (source "search", with
+    its node count and, when feasible, a validated witness) or by a theorem
+    whose premises were recomputed from the graph, with 0 nodes.  Source
+    "parity": an Eulerian graph with an odd edge count admits no even t.
+    Source "matching": each color class is a matching of at most
+    floor(|V|/2) edges, so |E| > t * floor(|V|/2) excludes t; K_5 (10 edges,
+    2 per class) is excluded at t = 4."""
     decision: str  # feasible | infeasible | timeout
     t: int
-    witness: Optional[EdgeColoring]
+    witness: Optional[EdgeColoring] = field(compare=False)
     nodes_explored: int
-    elapsed: float  # wall seconds; kept out of to_dict() so output is byte-stable
-
-    def to_dict(self) -> dict:
-        d: dict = {"decision": self.decision, "t": self.t,
-                   "nodes_explored": self.nodes_explored}
-        if self.witness is not None:
-            d["witness"] = self.witness.to_dict()
-        return d
-
-
-@dataclass(frozen=True)
-class TDecision:
-    """How one color count was settled: by a search (source "search", with
-    its node count) or by a theorem whose premises were recomputed from the
-    graph, with 0 nodes.  Source "parity": an Eulerian graph with an odd edge
-    count admits no even t.  Source "matching": each color class is a
-    matching of at most floor(|V|/2) edges, so |E| > t * floor(|V|/2)
-    excludes t; K_5 (10 edges, 2 per class) is excluded at t = 4."""
-    t: int
-    decision: str  # feasible | infeasible | timeout
-    source: str  # search | parity | matching
-    nodes_explored: int
-    witness: Optional[EdgeColoring] = field(default=None, compare=False)  # when feasible
+    # wall seconds; kept out of to_dict() so output is byte-stable
+    elapsed: float = field(default=0.0, compare=False)
+    source: str = SEARCH  # search | parity | matching
 
     def to_dict(self) -> dict:
         return {"t": self.t, "decision": self.decision, "source": self.source,
@@ -91,7 +81,7 @@ class FeasibleSet:
     graph_digest: str
     t_lo: int
     t_hi: int
-    decisions: tuple[TDecision, ...]  # one per t in [t_lo, t_hi], ascending
+    decisions: tuple[SolveOutcome, ...]  # one per t in [t_lo, t_hi], ascending
 
     @property
     def witnesses(self) -> dict[int, EdgeColoring]:
@@ -100,6 +90,19 @@ class FeasibleSet:
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(d.t for d in self.decisions if d.decision == FEASIBLE)
+
+    @property
+    def w_c(self) -> Optional[int]:
+        """The least usable color count found, or None."""
+        return self.members[0] if self.members else None
+
+    @property
+    def W_c(self) -> Optional[int]:
+        """The greatest usable color count found, or None."""
+        return self.members[-1] if self.members else None
+
+    def as_pair(self) -> tuple[Optional[int], Optional[int]]:
+        return (self.w_c, self.W_c)
 
     @property
     def timed_out(self) -> tuple[int, ...]:
@@ -122,16 +125,6 @@ class FeasibleSet:
                 "nodes_explored": self.nodes_explored,
                 "decisions": [d.to_dict() for d in self.decisions],
                 "witnesses": {str(t): w.to_dict() for t, w in sorted(self.witnesses.items())}}
-
-
-@dataclass(frozen=True)
-class ExtremalResult:
-    w_c: Optional[int]
-    W_c: Optional[int]
-    exhausted: bool
-
-    def as_pair(self) -> tuple[Optional[int], Optional[int]]:
-        return (self.w_c, self.W_c)
 
 
 def _search_order(g: Graph) -> list[int]:
@@ -323,11 +316,12 @@ def _map_tasks(fn: Callable, tasks: Iterable, jobs: int) -> Iterator:
 
 
 def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
-          ) -> Iterator[TDecision]:
+          ) -> Iterator[SolveOutcome]:
     """Settle each t in [lo, hi] in ascending order, yielding its record,
     which carries its witness when feasible.  A t that parity excludes, or that
     lies below bounds.matching_floor (matching capacity), is infeasible with
-    no search; every other t goes to decide(), through _map_tasks."""
+    no search; every other t goes to decide(), through _map_tasks, and its
+    record is the outcome decide() returned."""
     parity = bounds_mod.parity_obstruction(g)
     floor = bounds_mod.matching_floor(g)
     ts = range(lo, hi + 1)
@@ -336,11 +330,8 @@ def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
     searched = [t for t in ts if t not in theorem]
     outcomes = _map_tasks(partial(decide, g, node_budget=node_budget), searched, jobs)
     for t in ts:
-        if t in theorem:
-            yield TDecision(t, INFEASIBLE, theorem[t], 0)
-        else:
-            out = next(outcomes)
-            yield TDecision(t, out.decision, SEARCH, out.nodes_explored, out.witness)
+        yield (SolveOutcome(INFEASIBLE, t, None, 0, source=theorem[t]) if t in theorem
+               else next(outcomes))
 
 
 def feasible_set(g: Graph, t_hi: Optional[int] = None,
@@ -351,13 +342,11 @@ def feasible_set(g: Graph, t_hi: Optional[int] = None,
     return FeasibleSet(g.digest(), lo, hi, tuple(_plan(g, lo, hi, node_budget, jobs)))
 
 
-def extremal(g: Graph, node_budget: Optional[int] = None, jobs: int = 1) -> ExtremalResult:
-    """Least and greatest usable color counts from a fully decided range;
-    (None, None) when nothing in the bounded range is feasible."""
-    fs = feasible_set(g, node_budget=node_budget, jobs=jobs)
-    if not fs.members:
-        return ExtremalResult(None, None, fs.exhausted)
-    return ExtremalResult(min(fs.members), max(fs.members), fs.exhausted)
+def extremal(g: Graph, node_budget: Optional[int] = None, jobs: int = 1) -> FeasibleSet:
+    """The feasible set of the whole bounded range, read for its least and
+    greatest usable color counts: w_c, W_c and as_pair(), which is
+    (None, None) when nothing in the range is feasible."""
+    return feasible_set(g, node_budget=node_budget, jobs=jobs)
 
 
 def certify_noncolorable(g: Graph, node_budget: Optional[int] = None
@@ -444,8 +433,8 @@ class ScanReport:
 def _scan_record(node_budget: Optional[int], g: Graph) -> ScanRecord:
     fs = feasible_set(g, node_budget=node_budget)
     m = metrics(g)
-    w_max = max(fs.members) if fs.members and fs.exhausted else None
-    gap_free = None if w_max is None else fs.members == tuple(range(fs.members[0], w_max + 1))
+    w_max = fs.W_c if fs.exhausted else None
+    gap_free = None if w_max is None else fs.members == tuple(range(fs.w_c, w_max + 1))
     applies_1 = m.is_connected and m.is_triangle_free and w_max is not None
     applies_2 = m.is_connected and g.vertex_count >= 2 and w_max is not None
     return ScanRecord(

@@ -514,6 +514,10 @@ def test_unreadable_or_unwritable_file_is_format_error(tmp_path, capsys, argv):
     ("certify", "-g", "G", "--budget", "1.5"),
     ("scan", "--corpus", "CORPUS", "--budget", "-1"),
     ("scan", "--corpus", "CORPUS", "--jobs", "0"),
+    ("solve", "-g", "G", "--feasible-set", "--t-hi", "0"),
+    ("solve", "-g", "G", "--feasible-set", "--t-hi", "-3"),
+    ("color", "bipartite-interval", "3", "3", "--t", "0"),
+    ("color", "mod-reduce", "-g", "G", "--input-coloring", "G", "--t", "-1"),
 ])
 def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv):
     files = {"G": tmp_path / "g.json", "CORPUS": tmp_path / "corpus"}
@@ -523,6 +527,21 @@ def test_out_of_range_number_is_usage_error(tmp_path, capsys, argv):
     code, stdout, err = run(capsys, *(str(files.get(a, a)) for a in argv))
     assert code == EXPECTED_FORMAT_ERROR and stdout == ""
     assert "must be at least" in err or "invalid integer value" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("color", "gdn", "3", "5", "-o", "OUT", "-c", "OUT"),
+    ("color", "gdn", "3", "5", "-o", "out.json", "-c", "./out.json"),
+    ("gen", "noncolorable", "--rule", "kstar", "--n", "2", "--m", "12",
+     "-o", "OUT", "--cert", "OUT"),
+], ids=["color", "color-same-file", "gen-noncolorable"])
+def test_output_path_given_twice_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # the second write would replace the first: the graph would be lost
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, *(str(tmp_path / "out.json") if a == "OUT" else a
+                                      for a in argv))
+    assert code == EXPECTED_FORMAT_ERROR and stdout == "" and not (tmp_path / "out.json").exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "twice" in err
 
 
 def test_zero_budget_is_legal(tmp_path, capsys):

@@ -292,20 +292,20 @@ class TestMatchingCapacity:
 
         monkeypatch.setattr(solver, "decide", recording_decide)
         fs = feasible_set(make_complete(5))
-        assert fs.decisions[0] == solver.TDecision(4, INFEASIBLE, "matching", 0)
+        assert fs.decisions[0] == solver.SolveOutcome(INFEASIBLE, 4, None, 0, source="matching")
         assert searched == list(range(5, fs.t_hi + 1))
         assert fs.members == (5, 6) and fs.exhausted
 
     def test_parity_is_named_first(self):
         # K_7 at t = 6: parity (Eulerian, 21 edges) and matching (21 > 6 * 3) both apply
         fs = feasible_set(make_complete(7), node_budget=1)
-        assert fs.decisions[0] == solver.TDecision(6, INFEASIBLE, "parity", 0)
+        assert fs.decisions[0] == solver.SolveOutcome(INFEASIBLE, 6, None, 0, source="parity")
 
     def test_sound_against_search(self):
         # K_5 minus an edge: 9 > 4 * 2 edges, and an exhaustive search agrees
         g = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)][1:])
         fs = feasible_set(g)
-        assert fs.decisions[0] == solver.TDecision(4, INFEASIBLE, "matching", 0)
+        assert fs.decisions[0] == solver.SolveOutcome(INFEASIBLE, 4, None, 0, source="matching")
         assert oracles.reference_decide(5, g.edges, 4, 10**6)[0] == INFEASIBLE
 
     def test_in_certificate_transcript(self):
@@ -504,6 +504,24 @@ class TestExtremal:
         res = extremal(make_complete_bipartite(m, n))
         assert res.w_c == max(m, n)
         assert res.W_c >= m + n
+
+
+@pytest.mark.parametrize("g", [make_complete(7), make_cycle(5)], ids=["K7", "C5"])
+def test_searched_record_is_decides_outcome(monkeypatch, g):
+    # one record per color count: the planner keeps the very object decide()
+    # returned (feasible, infeasible or timeout), and extremal() the set
+    returned = {}
+
+    def recording_decide(g, t, node_budget=None):
+        returned[t] = decide(g, t, node_budget)
+        return returned[t]
+
+    monkeypatch.setattr(solver, "decide", recording_decide)
+    fs = feasible_set(g, node_budget=20_000)
+    searched = [d for d in fs.decisions if d.source == "search"]
+    assert [d.t for d in searched] == sorted(returned)
+    assert all(d is returned[d.t] for d in searched)
+    assert isinstance(extremal(g, node_budget=20_000), solver.FeasibleSet)
 
 
 def test_seven_clique_gap():
