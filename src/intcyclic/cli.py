@@ -84,43 +84,57 @@ def _int_at_least(low: int):
     return integer
 
 
-def _refuse_params(args, family: str) -> None:
-    """A family built from files and flags takes no positional parameter;
-    refuse one rather than drop it."""
-    if args.params:
-        raise CliError(f"{family} takes 0 parameter(s), got {len(args.params)}")
+# flags that some modes of a verb read and others do not, by argparse dest
+_MODAL_FLAGS = {"graph": "-g", "coloring_in": "--input-coloring", "rule": "--rule",
+                "n": "--n", "m": "--m", "hubs": "--hubs", "leaves": "--leaves",
+                "cert": "--cert", "t_hi": "--t-hi", "jobs": "--jobs"}
+
+
+def _refuse_unread(args, mode: str, *read: str) -> None:
+    """Refuse, rather than drop, what `mode` does not read: any positional
+    parameter unless "params" is in read, and any given flag of _MODAL_FLAGS
+    whose dest is not."""
+    if getattr(args, "params", None) and "params" not in read:
+        raise CliError(f"{mode} takes 0 parameter(s), got {len(args.params)}")
+    for dest, flag in _MODAL_FLAGS.items():
+        if dest not in read and getattr(args, dest, None) is not None:
+            raise CliError(f"{mode} takes no {flag}")
 
 
 def _cmd_gen(args) -> int:
-    if args.family in ("tree-hat", "noncolorable"):
-        _refuse_params(args, args.family)
     if args.family == "noncolorable":
         return _cmd_gen_noncolorable(args)
     if args.family == "tree-hat":
+        _refuse_unread(args, args.family, "graph")
         if not args.graph:
             raise CliError("gen tree-hat needs a tree file via -g")
         g = make_tree_hat(_load(args.graph))
     else:
+        _refuse_unread(args, args.family, "params")
         g = graphs_mod.make_family(args.family, _int_params(args.params, args.family))
     _write((args.output, g.to_json()))
     return EXIT_OK
 
 
 def _cmd_gen_noncolorable(args) -> int:
+    if args.rule is None:
+        raise CliError("gen noncolorable needs --rule kstar|tree-hat")
+    mode = f"noncolorable --rule {args.rule}"
     if args.rule == "kstar":
+        _refuse_unread(args, mode, "rule", "n", "m", "cert")
         if args.n is None or args.m is None:
             raise CliError("noncolorable --rule kstar needs --n and --m")
         g, cert = build_certified_kstar(args.n, args.m)
-    elif args.rule == "tree-hat":
-        if args.graph:
-            tree = _load(args.graph)
-        elif args.hubs is not None and args.leaves is not None:
-            tree = make_hub_tree(args.hubs, args.leaves)
-        else:
-            raise CliError("noncolorable --rule tree-hat needs -g TREE or --hubs/--leaves")
-        g, cert = build_certified_tree_hat(tree)
     else:
-        raise CliError("gen noncolorable needs --rule kstar|tree-hat")
+        if args.graph:
+            _refuse_unread(args, f"{mode} -g TREE", "rule", "graph", "cert")
+            tree = _load(args.graph)
+        else:
+            _refuse_unread(args, mode, "rule", "hubs", "leaves", "cert")
+            if args.hubs is None or args.leaves is None:
+                raise CliError("noncolorable --rule tree-hat needs -g TREE or --hubs/--leaves")
+            tree = make_hub_tree(args.hubs, args.leaves)
+        g, cert = build_certified_tree_hat(tree)
     _write((args.output, g.to_json()), (args.cert, canonical_json(cert.to_dict())))
     return EXIT_OK if cert.passed else EXIT_NEGATIVE
 
@@ -128,7 +142,7 @@ def _cmd_gen_noncolorable(args) -> int:
 def _cmd_color(args) -> int:
     name = args.construction
     if name == "mod-reduce":
-        _refuse_params(args, name)
+        _refuse_unread(args, name, "graph", "coloring_in")
         if not (args.graph and args.coloring_in and args.t):
             raise CliError("color mod-reduce needs -g GRAPH --input-coloring ALPHA --t T")
         g = _load(args.graph)
@@ -139,6 +153,7 @@ def _cmd_color(args) -> int:
             raise CliError(str(exc), EXIT_NEGATIVE)
         classes = []
     else:
+        _refuse_unread(args, name, "params")
         g, coloring, *classes = cons.build_construction(
             name, _int_params(args.params, name), args.t)
     _write(*[(p, x.to_json()) for p, x in ((args.output, g), (args.coloring, coloring)) if p])
@@ -159,6 +174,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.t is not None:
+        _refuse_unread(args, "solve --t", "graph")
     g = _load(args.graph)
     if args.t is not None:
         out = solver.decide(g, args.t, args.budget)
@@ -168,7 +185,7 @@ def _cmd_solve(args) -> int:
         sys.stdout.write(canonical_json(answer))
         return {solver.FEASIBLE: EXIT_OK, solver.INFEASIBLE: EXIT_NEGATIVE}.get(
             out.decision, EXIT_BUDGET)
-    fs = solver.feasible_set(g, t_hi=args.t_hi, node_budget=args.budget, jobs=args.jobs)
+    fs = solver.feasible_set(g, t_hi=args.t_hi, node_budget=args.budget, jobs=args.jobs or 1)
     sys.stdout.write(canonical_json(fs.to_dict()))
     return EXIT_OK if fs.exhausted else EXIT_BUDGET
 
@@ -265,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-coloring", dest="coloring_in", default=None,
                    help="input coloring (mod-reduce)")
     p.add_argument("--t", type=_int_at_least(1), default=None,
-                   help="target color count (mod-reduce, or fold an interval construction)")
+                   help="target color count (mod-reduce, or fold bipartite-interval "
+                        "or hypercube-interval)")
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("check", help="validate a coloring against a graph")
@@ -279,10 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--t", type=int, default=None, help="decide this color count")
     group.add_argument("--feasible-set", action="store_true")
-    p.add_argument("--t-hi", type=_int_at_least(1), default=None, help="cap the searched range")
+    p.add_argument("--t-hi", type=_int_at_least(1), default=None,
+                   help="cap the searched range (--feasible-set)")
     p.add_argument("--budget", type=_int_at_least(0), default=None,
                    help=f"search node budget per t (default {solver.DEFAULT_NODE_BUDGET})")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="workers over t values")
+    p.add_argument("--jobs", type=_int_at_least(1), default=None,
+                   help="workers over t values (--feasible-set; default 1)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bounds", help="print the bound report for a graph")

@@ -5,11 +5,15 @@ coloring with W colors into a cyclic one with any t in [max-degree, W].
 Each constructor returns (graph, coloring); the coloring indexes the graph's
 canonical edge order.  hypercube_base_interval returns the 3-tuple
 (graph, coloring, classes), whose classes give each vertex's spectrum class.
-FAMILIES names every constructor, and build_construction dispatches through it.
+A constructor computes each color from the endpoints of its edge, walking the
+canonical edge list once; only the cube colorers look colors up, those of the
+smaller cube they double or shift.  FAMILIES names every constructor, and
+build_construction dispatches through it.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .coloring import EdgeColoring, mod_color, spectrum, validate_cyclic, validate_interval
@@ -23,15 +27,6 @@ from .graphs import (
     make_gdn,
     make_hypercube,
 )
-
-
-def _coloring_from_map(g: Graph, t: int, cmap: dict[tuple[int, int], int]) -> EdgeColoring:
-    colors = []
-    for e in g.edges:
-        if e not in cmap:
-            raise RuntimeError(f"constructor left edge {e} uncolored")
-        colors.append(cmap[e])
-    return EdgeColoring(t, tuple(colors))
 
 
 def _key(u: int, v: int) -> tuple[int, int]:
@@ -60,16 +55,12 @@ def color_gdn(d: int, n: int) -> tuple[Graph, EdgeColoring]:
     """Cyclic n(d-1)-coloring of the pendant-decorated cycle; every color is
     used exactly once."""
     g = make_gdn(d, n)
-    t = n * (d - 1)
-    cmap: dict[tuple[int, int], int] = {}
-    for i in range(1, n + 1):
-        for j in range(1, d - 1):
-            p = n + (i - 1) * (d - 2) + (j - 1)
-            cmap[_key(i - 1, p)] = (i - 1) * (d - 1) + j
-    for i in range(1, n):
-        cmap[_key(i - 1, i)] = i * (d - 1)
-    cmap[_key(0, n - 1)] = n * (d - 1)
-    return g, _coloring_from_map(g, t, cmap)
+    # cycle vertex i (0-based) holds the d-1 colors from i(d-1)+1 up: its
+    # pendants p >= n take the lower d-2 of them in order, and the cycle edge
+    # to i+1 (to 0 for the last vertex, the edge (0, n-1)) the top one
+    return g, EdgeColoring(n * (d - 1), tuple(
+        u + v - n + 1 if v >= n else (v if v == u + 1 else n) * (d - 1)
+        for u, v in g.edges))
 
 
 def _odd_complete_case_values(i: int, j: int, n: int) -> list[int]:
@@ -118,15 +109,15 @@ def color_complete_odd(n: int) -> tuple[Graph, EdgeColoring]:
     if n < 1:
         raise ValueError("needs n >= 1")
     g = make_complete(2 * n + 1)
-    cmap: dict[tuple[int, int], int] = {}
+    colors = []
     for i, j in g.edges:
         vals = _odd_complete_case_values(i, j, n)
         if not vals:
             raise RuntimeError(f"edge (v{i}, v{j}) matched no case for n={n}")
         if len(set(vals)) > 1:
             raise RuntimeError(f"edge (v{i}, v{j}) matched inconsistent cases {vals} for n={n}")
-        cmap[(i, j)] = vals[0]
-    return g, _coloring_from_map(g, 3 * n, cmap)
+        colors.append(vals[0])
+    return g, EdgeColoring(3 * n, tuple(colors))
 
 
 def color_complete_bipartite_cyclic(m: int, n: int) -> tuple[Graph, EdgeColoring]:
@@ -134,22 +125,18 @@ def color_complete_bipartite_cyclic(m: int, n: int) -> tuple[Graph, EdgeColoring
     the diagonal coloring i+j-1 with the single corner edge wrapped to m+n."""
     if min(m, n) < 2:
         raise ValueError("needs min(m, n) >= 2; stars have no wrap construction")
-    g = make_complete_bipartite(m, n)
-    cmap = {}
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            c = m + n if (i, j) == (1, n) else i + j - 1
-            cmap[_key(i - 1, m + j - 1)] = c
-    return g, _coloring_from_map(g, m + n, cmap)
+    g, diagonal = canonical_bipartite_interval(m, n)
+    # the corner edge u1 vn, (0, m+n-1), is the n-th edge in canonical order
+    colors = diagonal.colors
+    return g, EdgeColoring(m + n, colors[:n - 1] + (m + n,) + colors[n:])
 
 
 def canonical_bipartite_interval(m: int, n: int) -> tuple[Graph, EdgeColoring]:
     """Interval (m+n-1)-coloring of the complete bipartite graph via the
     shifted diagonal i+j-1."""
     g = make_complete_bipartite(m, n)
-    cmap = {_key(i - 1, m + j - 1): i + j - 1
-            for i in range(1, m + 1) for j in range(1, n + 1)}
-    return g, _coloring_from_map(g, m + n - 1, cmap)
+    # u_i v_j is the edge (i-1, m+j-1)
+    return g, EdgeColoring(m + n - 1, tuple(u + v - m + 1 for u, v in g.edges))
 
 
 def color_tripartite(l: int, m: int, n: int) -> tuple[Graph, EdgeColoring]:
@@ -166,26 +153,12 @@ def color_tripartite(l: int, m: int, n: int) -> tuple[Graph, EdgeColoring]:
     labels = tuple(f"u{i}" for i in range(1, m + 1)) \
         + tuple(f"v{j}" for j in range(1, n + 1)) \
         + tuple(f"w{k}" for k in range(1, l + 1))
-    u0, v0, w0 = 0, m, m + n
-    edges = []
-    cmap = {}
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            e = _key(u0 + i - 1, v0 + j - 1)
-            edges.append(e)
-            cmap[e] = l + i + j - 1
-    for i in range(1, l + 1):
-        for j in range(1, n + 1):
-            e = _key(w0 + i - 1, v0 + j - 1)
-            edges.append(e)
-            cmap[e] = i + j - 1
-    for i in range(1, m + 1):
-        for j in range(1, l + 1):
-            e = _key(u0 + i - 1, w0 + j - 1)
-            edges.append(e)
-            cmap[e] = l + n + i + j - 1 if i + j <= m + 1 else i + j - m - 1
-    g = Graph(l + m + n, tuple(edges), labels)
-    return g, _coloring_from_map(g, t, cmap)
+    parts = (range(m), range(m, m + n), range(m + n, t))
+    g = Graph(t, tuple((a, b) for p, q in combinations(parts, 2) for a in p for b in q), labels)
+    # u_i v_j gets l+i+j-1 and w_k v_j gets k+j-1; u_i w_k gets l+n+i+k-1,
+    # wrapped to i+k-m-1 above t.  In vertex indices all three are one
+    # diagonal a+b+l-m+1 on the color circle
+    return g, EdgeColoring(t, tuple(mod_color(a + b + l - m + 1, t) for a, b in g.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -208,33 +181,35 @@ def hypercube_base_interval(n: int) -> tuple[Graph, EdgeColoring, tuple[int, ...
     """
     if n < 2:
         raise ValueError("needs n >= 2; a single edge cannot realize two spectrum classes")
-    _check_hypercube_size(n)  # before the doubling loop builds any color map
-    # base: the 4-cycle colored 1,2,3,2
-    cmap: dict[tuple[int, int], int] = {(0, 1): 1, (1, 3): 2, (2, 3): 3, (0, 2): 2}
+    _check_hypercube_size(n)  # before the doubling loop builds any cube
+    # base: the 4-cycle (0,1),(0,2),(1,3),(2,3) colored 1,2,2,3
+    g = make_hypercube(2)
+    coloring = EdgeColoring(3, (1, 2, 2, 3))
     classes = [0, 0, 1, 1]
-    g, coloring = _check_base_step(2, cmap, classes)
+    _check_base_step(2, g, coloring, classes)
     for dim in range(3, n + 1):
-        prev = cmap
+        prev = dict(zip(g.edges, coloring.colors))
         half = 1 << (dim - 1)
         sigma = _sigma_mask(dim - 1)
-        cmap = {}
-        for (x, y), c in prev.items():
-            cmap[(x, y)] = c
-            cmap[_key(x ^ sigma | half, y ^ sigma | half)] = dim + 1 - c
-        for x in range(half):
-            cmap[(x, x | half)] = dim if classes[x] == 0 else dim + 1
+        g = make_hypercube(dim)
+        colors = []
+        for x, y in g.edges:
+            if y < half:  # copy A
+                colors.append(prev[(x, y)])
+            elif x < half:  # the matching edge (x, x|half)
+                colors.append(dim + classes[x])
+            else:  # copy B, reflected from its preimage under x -> (x - half) ^ sigma
+                colors.append(dim + 1 - prev[_key((x - half) ^ sigma, (y - half) ^ sigma)])
+        coloring = EdgeColoring(dim + 1, tuple(colors))
         # the matching color extends both endpoint spectra into the same
         # class, so vertex x|half lands in the class of x
         classes = classes + classes
-        g, coloring = _check_base_step(dim, cmap, classes)
+        _check_base_step(dim, g, coloring, classes)
     return g, coloring, tuple(classes)
 
 
-def _check_base_step(dim: int, cmap: dict[tuple[int, int], int],
-                     classes: list[int]) -> tuple[Graph, EdgeColoring]:
-    """The dim-cube and its coloring from cmap, checked against the classes."""
-    g = make_hypercube(dim)
-    coloring = _coloring_from_map(g, dim + 1, cmap)
+def _check_base_step(dim: int, g: Graph, coloring: EdgeColoring, classes: list[int]) -> None:
+    """Check a doubling step's coloring of the dim-cube against the classes."""
     res = validate_interval(g, coloring)
     if not res.valid:
         raise RuntimeError(
@@ -248,7 +223,6 @@ def _check_base_step(dim: int, cmap: dict[tuple[int, int], int],
         if spectrum(g, coloring, v) != want:
             raise RuntimeError(
                 f"cube doubling step dim={dim}: vertex {v} spectrum mismatch")
-    return g, coloring
 
 
 # found once by the exact solver (decide(Q_3, 8)) and frozen; re-validated in
@@ -267,9 +241,8 @@ def color_hypercube_cyclic(n: int) -> tuple[Graph, EdgeColoring]:
     if n < 2:
         raise ValueError("needs n >= 2")
     _check_hypercube_size(n)  # before the (n-2)-cube base is built
-    if n == 2:
-        g = make_hypercube(2)
-        return g, _coloring_from_map(g, 4, {(0, 1): 1, (1, 3): 2, (2, 3): 3, (0, 2): 4})
+    if n == 2:  # canonical edges (0,1),(0,2),(1,3),(2,3)
+        return make_hypercube(2), EdgeColoring(4, (1, 4, 2, 3))
     if n == 3:
         g = make_hypercube(3)
         return g, EdgeColoring(8, _Q3_CYCLIC_8)
@@ -280,18 +253,18 @@ def color_hypercube_cyclic(n: int) -> tuple[Graph, EdgeColoring]:
     # (0,0) -> (0,1) -> (1,1) -> (1,0) -> (0,0)
     shift = {(0, 0): 0, (0, 1): n - 1, (1, 1): 2 * (n - 1), (1, 0): 3 * (n - 1)}
     g = make_hypercube(n)
-    cmap = {}
+    colors = []
     for u, v in g.edges:
         qu, qv = (u & 1, u >> 1 & 1), (v & 1, v >> 1 & 1)
-        if qu == qv:
-            cmap[(u, v)] = base_map[_key(u >> 2, v >> 2)] + shift[qu]
+        if qu == qv:  # u < v differ above bit 1, so u >> 2 < v >> 2
+            colors.append(base_map[(u >> 2, v >> 2)] + shift[qu])
             continue
         # a matching edge takes the shift of the quadrant that follows the
         # other on the cycle, plus the class of its endpoints (they share all
         # bits above the flipped one); on the wrap edge, 0 becomes t
         later = qv if shift[qv] == (shift[qu] + n - 1) % t else qu
-        cmap[(u, v)] = mod_color(shift[later] + classes[u >> 2], t)
-    return g, _coloring_from_map(g, t, cmap)
+        colors.append(mod_color(shift[later] + classes[u >> 2], t))
+    return g, EdgeColoring(t, tuple(colors))
 
 
 # family name -> (parameter count, constructor over integer parameters)
@@ -304,14 +277,21 @@ FAMILIES = {
     "hypercube-cyclic": (1, color_hypercube_cyclic),
     "hypercube-interval": (1, hypercube_base_interval),
 }
+# the families whose coloring is interval-valid, so mod_reduce can fold it
+_INTERVAL_FAMILIES = ("bipartite-interval", "hypercube-interval")
 
 
 def build_construction(family: str, params: Sequence[int], t: Optional[int] = None) -> tuple:
     """(graph, coloring) of a FAMILIES constructor at the given integer
     parameters, or (graph, coloring, classes) for hypercube-interval.  A
     target width t other than the constructor's folds an interval
-    construction down to t colors by mod_reduce."""
-    g, col, *classes = _family_builder(FAMILIES, family, params)(*params)
+    construction down to t colors by mod_reduce; any t given to a cyclic
+    construction is refused before it is built."""
+    build = _family_builder(FAMILIES, family, params)
+    if t is not None and family not in _INTERVAL_FAMILIES:
+        raise ValueError(f"--t folds only an interval construction "
+                         f"({', '.join(_INTERVAL_FAMILIES)}); {family} is cyclic")
+    g, col, *classes = build(*params)
     if t is not None and t != col.t:
         col = mod_reduce(g, col, t)
     return (g, col, *classes)

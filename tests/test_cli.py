@@ -194,6 +194,7 @@ class TestColorCheck:
             raise AssertionError("construction started before its size check")
 
         monkeypatch.setattr(constructions, "_key", built)
+        monkeypatch.setattr(constructions, "Graph", built)
         monkeypatch.setattr(constructions, "_check_base_step", built)
         code, stdout, err = run(capsys, "color", *argv)
         assert code == EXPECTED_FORMAT_ERROR and stdout == ""
@@ -584,6 +585,64 @@ def test_refused_call(tmp_path, capsys, argv, message):
     code, stdout, err = run(capsys, *(str(files.get(a, a)) for a in argv))
     assert code == EXPECTED_FORMAT_ERROR and stdout == "" and not files["OUT"].exists()
     assert message in err and err.startswith("error: ") and err.count("\n") == 1
+
+
+# a flag that the chosen family, rule or mode would not read is refused, not
+# dropped: exit 2, a one-line error naming the flag, nothing written
+@pytest.mark.parametrize("argv,flag", [
+    (("gen", "cycle", "4", "--rule", "kstar", "--n", "3", "--cert", "CERT", "-o", "OUT"),
+     "--rule"),
+    (("gen", "cycle", "4", "--cert", "CERT", "-o", "OUT"), "--cert"),
+    (("gen", "tree-hat", "-g", "TREE", "--cert", "CERT", "-o", "OUT"), "--cert"),
+    (("gen", "noncolorable", "--rule", "kstar", "--n", "2", "--m", "12", "--hubs", "3",
+      "-g", "TREE", "-o", "OUT", "--cert", "CERT"), "-g"),
+    (("gen", "noncolorable", "--rule", "kstar", "--n", "2", "--m", "12", "--leaves", "3",
+      "-o", "OUT", "--cert", "CERT"), "--leaves"),
+    (("gen", "noncolorable", "--rule", "tree-hat", "-g", "TREE", "--hubs", "3",
+      "--leaves", "3", "-o", "OUT", "--cert", "CERT"), "--hubs"),
+    (("gen", "noncolorable", "--rule", "tree-hat", "--hubs", "3", "--leaves", "3",
+      "--m", "4", "-o", "OUT", "--cert", "CERT"), "--m"),
+    (("color", "gdn", "3", "5", "-g", "G", "--input-coloring", "C", "-o", "OUT", "-c", "CERT"),
+     "-g"),
+    (("color", "bipartite-interval", "3", "3", "--input-coloring", "C", "-o", "OUT"),
+     "--input-coloring"),
+    (("solve", "-g", "G", "--t", "5", "--t-hi", "1", "--jobs", "4"), "--t-hi"),
+    (("solve", "-g", "G", "--t", "5", "--t-hi", "3"), "--t-hi"),
+    (("solve", "-g", "G", "--t", "5", "--jobs", "2"), "--jobs"),
+    (("solve", "-g", "G", "--t", "5", "--jobs", "1"), "--jobs"),
+], ids=["gen-rule", "gen-cert", "tree-hat-cert", "kstar-graph", "kstar-leaves",
+        "tree-hat-file-hubs", "tree-hat-hubs-m", "color-graph", "color-input-coloring",
+        "solve-t-hi-jobs", "solve-t-hi", "solve-jobs", "solve-jobs-one"])
+def test_unread_flag_is_refused(tmp_path, capsys, argv, flag):
+    files = {name: tmp_path / f"{name}.json" for name in ("G", "C", "TREE", "OUT", "CERT")}
+    run(capsys, "gen", "complete", "5", "-o", str(files["G"]))
+    run(capsys, "gen", "hub-tree", "3", "3", "-o", str(files["TREE"]))
+    files["C"].write_text('{"t": 4, "colors": [1, 2, 3, 4, 1, 2, 3, 4, 1, 2]}\n')
+    code, stdout, err = run(capsys, *(str(files.get(a, a)) for a in argv))
+    assert code == EXPECTED_FORMAT_ERROR and stdout == ""
+    assert not files["OUT"].exists() and not files["CERT"].exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f" takes no {flag}\n")
+
+
+# --t folds an interval construction; on a cyclic one it is refused in one
+# line that names the construction, whatever the width asked
+@pytest.mark.parametrize("argv", [("gdn", "3", "5", "--t", "4"), ("gdn", "3", "5", "--t", "10"),
+                                  ("bipartite-cyclic", "3", "3", "--t", "4"),
+                                  ("tripartite", "1", "2", "3", "--t", "5"),
+                                  ("complete-odd", "2", "--t", "5"),
+                                  ("hypercube-cyclic", "3", "--t", "7")])
+def test_target_width_on_cyclic_construction_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, "color", *argv, "-o", str(out))
+    assert code == EXPECTED_FORMAT_ERROR and stdout == "" and not out.exists()
+    assert err.startswith("error: --t folds only an interval construction")
+    assert f"; {argv[0]} is cyclic" in err and err.count("\n") == 1 and "{" not in err
+
+
+def test_target_width_out_of_range_names_the_range(capsys):
+    code, stdout, err = run(capsys, "color", "bipartite-interval", "3", "3", "--t", "2")
+    assert code == EXPECTED_FORMAT_ERROR and stdout == "" and "t=2 outside [3, 5]" in err
 
 
 def test_noncolorable_tree_hat_from_file(tmp_path, capsys):

@@ -271,6 +271,45 @@ class TestHypercubeBuilds:
         assert hashlib.sha256(col.to_json().encode()).hexdigest()[:16] == digest
 
 
+# sha256 prefixes of the graph and coloring JSON (and the classes of the
+# cube's interval coloring), frozen: a rewrite of a colorer must keep every
+# byte, labels and vertex order included
+@pytest.mark.parametrize("build,params,digest", [
+    (color_gdn, (2, 3), "858737d67f3007ae"),
+    (color_gdn, (3, 5), "d527663b1dd27b5e"),
+    (color_gdn, (5, 9), "24c519e1a0445c3f"),
+    (color_gdn, (7, 13), "0589ca41df1b0c96"),
+    (color_complete_odd, (1,), "d0c358889131a794"),
+    (color_complete_odd, (2,), "3dcfa716a1d6eb49"),
+    (color_complete_odd, (3,), "a6b1808bb787414e"),
+    (color_complete_odd, (5,), "8be25c424b3d9fae"),
+    (color_complete_odd, (8,), "c931b7a50214f675"),
+    (color_complete_bipartite_cyclic, (2, 2), "b03d429e0583d0e2"),
+    (color_complete_bipartite_cyclic, (2, 5), "bf8d64725916a3ad"),
+    (color_complete_bipartite_cyclic, (4, 6), "6f985b6b807cafd2"),
+    (color_complete_bipartite_cyclic, (7, 3), "5e2685c9ceb19a65"),
+    (canonical_bipartite_interval, (1, 1), "d53aabfec9e05740"),
+    (canonical_bipartite_interval, (1, 4), "a5c3947292810f2a"),
+    (canonical_bipartite_interval, (3, 3), "7ac004f0b5d9ec5a"),
+    (canonical_bipartite_interval, (5, 2), "f19db8a4eec8fa82"),
+    (canonical_bipartite_interval, (6, 7), "bce56e39d2c3e714"),
+    (color_tripartite, (1, 1, 1), "bc61f0e69bd7aa75"),
+    (color_tripartite, (3, 5, 7), "81558ab7aa2b05fe"),
+    (color_tripartite, (7, 5, 3), "81558ab7aa2b05fe"),
+    (color_tripartite, (5, 7, 3), "81558ab7aa2b05fe"),
+    (color_tripartite, (2, 2, 4), "8a4b8a67869efe6b"),
+    (color_tripartite, (4, 1, 4), "f4b56f511a2e7218"),
+    (hypercube_base_interval, (2,), "90a7fb0f1c166101"),
+    (hypercube_base_interval, (3,), "64d01c689075a72d"),
+    (hypercube_base_interval, (4,), "c6e6ae7c2423f022"),
+    (hypercube_base_interval, (6,), "1a36aca5f7989b51"),
+])
+def test_colorer_bytes_are_stable(build, params, digest):
+    g, col, *classes = build(*params)
+    text = g.to_json() + col.to_json() + "".join(str(list(c)) for c in classes)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 class TestSizeLimits:
     """Families built by the colorers themselves are refused in closed form,
     before any edge, color map or base cube exists (caps patched small)."""
@@ -339,6 +378,17 @@ class TestConstructionRequests:
         from intcyclic.constructions import build_construction
         with pytest.raises(ValueError):
             build_construction("bipartite-cyclic", (3, 3), t=4)
+
+    def test_target_width_on_cyclic_construction_refused_before_building(self, monkeypatch):
+        from intcyclic.constructions import build_construction
+
+        def built(*_):
+            raise AssertionError("construction started before t was refused")
+
+        monkeypatch.setattr(constructions, "make_gdn", built)
+        for t in (4, 10):  # 10 is the coloring's own width: still refused
+            with pytest.raises(ValueError, match="only an interval construction.*gdn is cyclic"):
+                build_construction("gdn", (3, 5), t=t)
 
     def test_unknown_family_and_bad_arity(self):
         from intcyclic.constructions import build_construction
