@@ -6,8 +6,7 @@ Each constructor returns (graph, coloring); the coloring indexes the graph's
 canonical edge order.  hypercube_base_interval returns the 3-tuple
 (graph, coloring, classes), whose classes give each vertex's spectrum class.
 A constructor computes each color from the endpoints of its edge, walking the
-canonical edge list once; only the cube colorers look colors up, those of the
-smaller cube they double or shift.  FAMILIES names every constructor, and
+canonical edge list once.  FAMILIES names every constructor, and
 build_construction dispatches through it.
 """
 
@@ -27,10 +26,6 @@ from .graphs import (
     make_gdn,
     make_hypercube,
 )
-
-
-def _key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 def mod_reduce(g: Graph, alpha: EdgeColoring, t: int) -> EdgeColoring:
@@ -164,65 +159,58 @@ def color_tripartite(l: int, m: int, n: int) -> tuple[Graph, EdgeColoring]:
 # ---------------------------------------------------------------------------
 # hypercubes
 
-def _sigma_mask(dim: int) -> int:
-    # class-swapping involution of the dim-cube: flip every coordinate but the
-    # first (vertex classes depend only on bit 1)
-    return (1 << dim) - 2
+def _base_color(x: int, b: int) -> int:
+    """Color of the edge x -- x | 2**b (bit b of x clear) in the two-class
+    interval (n+1)-coloring of the n-cube, n >= 2.
+
+    Take a vertex v of class c (bit 1 of v) with r bits set above bit 2.
+    Directions 0 and 1 give v the colors c+1+r and c+2+r, one each.  A
+    direction b >= 2 whose bit b+1 is set gives c+1 plus the count of set
+    bits above b+1: over the r set bits that is c+1 .. c+r.  The i-th
+    direction b >= 2 (from 1, upward) whose bit b+1 is clear gives c+1+b
+    plus the count of set bits above b+1, which is c+r+2+i.  So v sees each
+    of c+1 .. c+n exactly once.
+    """
+    if b == 0:
+        return 1 + 2 * (x >> 1 & 1) + (x >> 3).bit_count()
+    if b == 1:
+        return 2 + (x >> 3).bit_count()
+    return b + 1 + (x >> 1 & 1) - b * (x >> b + 1 & 1) + (x >> b + 2).bit_count()
 
 
 def hypercube_base_interval(n: int) -> tuple[Graph, EdgeColoring, tuple[int, ...]]:
     """Interval (n+1)-coloring of the n-cube splitting the vertices into two
     equal spectrum classes: class 0 sees colors [1, n], class 1 sees [2, n+1].
 
-    Built by doubling: copy A keeps the previous coloring, copy B gets it
-    reflected and relabeled through the class-swapping involution, and each
-    matching edge gets the color that extends both endpoint spectra.  Every
-    step is checked; a failed step aborts with a diagnostic.
+    A vertex's class is its bit 1, and each edge's color is _base_color of
+    its ends.  The result is checked; a failed check aborts with a diagnostic.
     """
     if n < 2:
         raise ValueError("needs n >= 2; a single edge cannot realize two spectrum classes")
-    _check_hypercube_size(n)  # before the doubling loop builds any cube
-    # base: the 4-cycle (0,1),(0,2),(1,3),(2,3) colored 1,2,2,3
-    g = make_hypercube(2)
-    coloring = EdgeColoring(3, (1, 2, 2, 3))
-    classes = [0, 0, 1, 1]
-    _check_base_step(2, g, coloring, classes)
-    for dim in range(3, n + 1):
-        prev = dict(zip(g.edges, coloring.colors))
-        half = 1 << (dim - 1)
-        sigma = _sigma_mask(dim - 1)
-        g = make_hypercube(dim)
-        colors = []
-        for x, y in g.edges:
-            if y < half:  # copy A
-                colors.append(prev[(x, y)])
-            elif x < half:  # the matching edge (x, x|half)
-                colors.append(dim + classes[x])
-            else:  # copy B, reflected from its preimage under x -> (x - half) ^ sigma
-                colors.append(dim + 1 - prev[_key((x - half) ^ sigma, (y - half) ^ sigma)])
-        coloring = EdgeColoring(dim + 1, tuple(colors))
-        # the matching color extends both endpoint spectra into the same
-        # class, so vertex x|half lands in the class of x
-        classes = classes + classes
-        _check_base_step(dim, g, coloring, classes)
-    return g, coloring, tuple(classes)
+    _check_hypercube_size(n)  # before the cube is built
+    g = make_hypercube(n)
+    coloring = EdgeColoring(n + 1, tuple(
+        _base_color(u, (u ^ v).bit_length() - 1) for u, v in g.edges))
+    classes = tuple(v >> 1 & 1 for v in range(1 << n))
+    _check_base_step(n, g, coloring, classes)
+    return g, coloring, classes
 
 
-def _check_base_step(dim: int, g: Graph, coloring: EdgeColoring, classes: list[int]) -> None:
-    """Check a doubling step's coloring of the dim-cube against the classes."""
+def _check_base_step(n: int, g: Graph, coloring: EdgeColoring, classes: Sequence[int]) -> None:
+    """Check a two-class interval coloring of the n-cube against its classes."""
     res = validate_interval(g, coloring)
     if not res.valid:
         raise RuntimeError(
-            f"cube doubling step dim={dim} produced an invalid coloring: {res.to_dict()}")
-    half = 1 << (dim - 1)
+            f"cube base coloring n={n} is invalid: {res.to_dict()}")
+    half = 1 << (n - 1)
     if sum(classes) != half or len(classes) != 2 * half:
-        raise RuntimeError(f"cube doubling step dim={dim}: unbalanced classes")
+        raise RuntimeError(f"cube base coloring n={n}: unbalanced classes")
     for v in range(2 * half):
-        want = frozenset(range(1, dim + 1)) if classes[v] == 0 \
-            else frozenset(range(2, dim + 2))
+        want = frozenset(range(1, n + 1)) if classes[v] == 0 \
+            else frozenset(range(2, n + 2))
         if spectrum(g, coloring, v) != want:
             raise RuntimeError(
-                f"cube doubling step dim={dim}: vertex {v} spectrum mismatch")
+                f"cube base coloring n={n}: vertex {v} spectrum mismatch")
 
 
 # found once by the exact solver (decide(Q_3, 8)) and frozen; re-validated in
@@ -234,37 +222,41 @@ def color_hypercube_cyclic(n: int) -> tuple[Graph, EdgeColoring]:
     """Cyclic 4(n-1)-coloring of the n-cube.
 
     n=2 is the 4-cycle with all four colors; n=3 is a frozen solver witness;
-    n>=4 shifts a two-class interval coloring of the (n-2)-cube around the
+    n>=4 shifts the two-class interval coloring of the (n-2)-cube around the
     four quadrants cut by the first two coordinates and keys the quadrant
-    matching colors off the endpoint class.
+    matching colors off the endpoint class.  Every result is checked.
     """
     if n < 2:
         raise ValueError("needs n >= 2")
-    _check_hypercube_size(n)  # before the (n-2)-cube base is built
-    if n == 2:  # canonical edges (0,1),(0,2),(1,3),(2,3)
-        return make_hypercube(2), EdgeColoring(4, (1, 4, 2, 3))
-    if n == 3:
-        g = make_hypercube(3)
-        return g, EdgeColoring(8, _Q3_CYCLIC_8)
+    _check_hypercube_size(n)  # before the cube is built
     t = 4 * (n - 1)
-    base_g, base, classes = hypercube_base_interval(n - 2)
-    base_map = dict(zip(base_g.edges, base.colors))
-    # quadrant = (bit0, bit1); shifts follow the quadrant cycle
-    # (0,0) -> (0,1) -> (1,1) -> (1,0) -> (0,0)
-    shift = {(0, 0): 0, (0, 1): n - 1, (1, 1): 2 * (n - 1), (1, 0): 3 * (n - 1)}
     g = make_hypercube(n)
-    colors = []
-    for u, v in g.edges:
-        qu, qv = (u & 1, u >> 1 & 1), (v & 1, v >> 1 & 1)
-        if qu == qv:  # u < v differ above bit 1, so u >> 2 < v >> 2
-            colors.append(base_map[(u >> 2, v >> 2)] + shift[qu])
-            continue
-        # a matching edge takes the shift of the quadrant that follows the
-        # other on the cycle, plus the class of its endpoints (they share all
-        # bits above the flipped one); on the wrap edge, 0 becomes t
-        later = qv if shift[qv] == (shift[qu] + n - 1) % t else qu
-        colors.append(mod_color(shift[later] + classes[u >> 2], t))
-    return g, EdgeColoring(t, tuple(colors))
+    if n == 2:  # canonical edges (0,1),(0,2),(1,3),(2,3)
+        colors = (1, 4, 2, 3)
+    elif n == 3:
+        colors = _Q3_CYCLIC_8
+    else:
+        # quadrant q = u & 3 = bit0 + 2*bit1; shifts follow the quadrant cycle
+        # (0,0) -> (0,1) -> (1,1) -> (1,0) -> (0,0), that is q = 0 -> 2 -> 3 -> 1
+        shift = (0, 3 * (n - 1), n - 1, 2 * (n - 1))
+        colors = []
+        for u, v in g.edges:
+            d = (u ^ v).bit_length() - 1  # the flipped bit
+            if d >= 2:  # the (n-2)-cube edge u >> 2 -- v >> 2, shifted
+                colors.append(_base_color(u >> 2, d - 2) + shift[u & 3])
+                continue
+            # a matching edge takes the shift of the quadrant that follows the
+            # other on the cycle, plus the class of its endpoints (they share
+            # all bits above the flipped one, so the class is bit 3); on the
+            # wrap edge, 0 becomes t
+            qu, qv = u & 3, v & 3
+            later = qv if shift[qv] == (shift[qu] + n - 1) % t else qu
+            colors.append(mod_color(shift[later] + (u >> 3 & 1), t))
+    coloring = EdgeColoring(t, tuple(colors))
+    check = validate_cyclic(g, coloring)
+    if not check.valid:  # cannot fire for a sound base rule; kept as a guard
+        raise RuntimeError(f"cube cyclic coloring n={n} is invalid: {check.to_dict()}")
+    return g, coloring
 
 
 # family name -> (parameter count, constructor over integer parameters)

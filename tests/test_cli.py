@@ -181,9 +181,18 @@ class TestColorCheck:
         code, stdout, _ = run(capsys, "check", "-g", str(g_path), "-c", str(b_path))
         assert code == 0 and json.loads(stdout)["verdict"] == "valid"
 
-    # refused in closed form: the tripartite colorer would key 3*10^6 edges,
-    # and the cube doubling loop would build dimensions 3..17 (some 150 MB);
-    # the patches make either fail at once if it started building
+    def test_out_of_range_color_names_its_edge(self, tmp_path, capsys):
+        g_path, c_path = tmp_path / "g.json", tmp_path / "c.json"
+        run(capsys, "gen", "path", "3", "-o", str(g_path))
+        c_path.write_text('{"t": 2, "colors": [0, 2]}\n')
+        code, stdout, _ = run(capsys, "check", "-g", str(g_path), "-c", str(c_path))
+        report = json.loads(stdout)
+        assert code == 1 and report["verdict"] == "invalid"
+        assert {"kind": "color-out-of-range", "edge": [0, 1], "color": 0} in report["violations"]
+
+    # refused in closed form: the tripartite colorer would list 3*10^6 edges,
+    # and the cube colorers would build a 40-cube; the patches make either
+    # fail at once if it started building
     @pytest.mark.parametrize("argv", [("tripartite", "1000", "1000", "1000"),
                                       ("hypercube-interval", "40"),
                                       ("hypercube-cyclic", "40")])
@@ -193,8 +202,8 @@ class TestColorCheck:
         def built(*_):
             raise AssertionError("construction started before its size check")
 
-        monkeypatch.setattr(constructions, "_key", built)
         monkeypatch.setattr(constructions, "Graph", built)
+        monkeypatch.setattr(constructions, "make_hypercube", built)
         monkeypatch.setattr(constructions, "_check_base_step", built)
         code, stdout, err = run(capsys, "color", *argv)
         assert code == EXPECTED_FORMAT_ERROR and stdout == ""
@@ -574,10 +583,21 @@ def test_zero_budget_is_legal(tmp_path, capsys):
      "needs -g GRAPH"),
     (("scan", "--corpus", "G"), "not a directory"),
     (("export-dot", "-g", "G", "-c", "C", "-o", "OUT"), "edge count"),
+    # each family's own check, below its smallest member
+    (("gen", "complete", "0"), "n >= 1"),
+    (("gen", "complete-bipartite", "0", "3"), "m, n >= 1"),
+    (("gen", "complete-tripartite", "1", "0", "2"), "l, m, n >= 1"),
+    (("gen", "hypercube", "0"), "n >= 1"),
+    (("gen", "gdn", "1", "5"), "d >= 2"),
+    (("gen", "gdn", "3", "2"), "n >= 3"),
+    (("gen", "kstar", "0", "3"), "n, m >= 1"),
+    (("color", "tripartite", "0", "1", "1"), "l, m, n >= 1"),
 ], ids=["gen-non-integer", "gen-tree-hat-no-graph", "kstar-no-m", "kstar-no-n",
         "noncolorable-no-rule", "tree-hat-no-tree", "tree-hat-no-leaves", "tree-hat-zero-hubs",
         "mod-reduce-no-coloring", "mod-reduce-no-graph", "mod-reduce-no-t", "scan-file",
-        "export-dot-wrong-length"])
+        "export-dot-wrong-length", "complete-zero", "complete-bipartite-zero",
+        "complete-tripartite-zero", "hypercube-zero", "gdn-d-one", "gdn-n-two", "kstar-zero",
+        "color-tripartite-zero"])
 def test_refused_call(tmp_path, capsys, argv, message):
     files = {"G": tmp_path / "g.json", "C": tmp_path / "c.json", "OUT": tmp_path / "out.json"}
     run(capsys, "gen", "cycle", "4", "-o", str(files["G"]))

@@ -189,6 +189,8 @@ class TestSpectrumReport:
         rep = spectrum_report(g, col, 0)
         assert rep.colors == (1, 4)
         assert rep.is_cyclic_interval and not rep.is_interval
+        assert rep.to_dict() == {"vertex": 0, "colors": [1, 4], "is_interval": False,
+                                 "is_cyclic_interval": True}
 
     def test_plain_interval_flags_both(self):
         from intcyclic import spectrum_report

@@ -235,6 +235,16 @@ class TestHypercubeCyclic:
             color_hypercube_cyclic(1)
 
 
+@pytest.mark.parametrize("build,n", [(hypercube_base_interval, 4), (color_hypercube_cyclic, 5)])
+def test_cube_result_guard_fires(monkeypatch, build, n):
+    # one direction's colors moved up by one: neither coloring survives, and
+    # each colorer's check of its result must say so
+    base_color = constructions._base_color
+    monkeypatch.setattr(constructions, "_base_color", lambda x, b: base_color(x, b) + (b == 0))
+    with pytest.raises(RuntimeError, match="invalid"):
+        build(n)
+
+
 class TestHypercubeBuilds:
     """Each cube is built and checked once, where it is made."""
 
@@ -250,22 +260,23 @@ class TestHypercubeBuilds:
         return dims
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_base_interval_builds_each_dimension_once(self, monkeypatch, n):
+    def test_base_interval_builds_only_the_n_cube(self, monkeypatch, n):
         dims = self.built(monkeypatch)
         hypercube_base_interval(n)
-        assert dims == list(range(2, n + 1))
+        assert dims == [n]
 
     @pytest.mark.parametrize("n", range(4, 8))
-    def test_cyclic_builds_the_base_dimensions_and_n_once(self, monkeypatch, n):
+    def test_cyclic_builds_only_the_n_cube(self, monkeypatch, n):
         dims = self.built(monkeypatch)
         color_hypercube_cyclic(n)
-        assert dims == [*range(2, n - 1), n]
+        assert dims == [n]
 
     # sha256 prefixes of the coloring JSON, frozen: a rewrite of the
     # quadrant rule must keep every color
     @pytest.mark.parametrize("n,digest", [(4, "2520950337effa78"), (5, "8c9c680e464a4bc8"),
                                           (6, "a911f46d192c744a"), (7, "a17d046837a6b323"),
-                                          (8, "a7e364e053f79948")])
+                                          (8, "a7e364e053f79948"), (10, "b5d4a4c10217ed95"),
+                                          (12, "4317a2bcdd6200b1")])
     def test_cyclic_colors_are_stable(self, n, digest):
         _, col = color_hypercube_cyclic(n)
         assert hashlib.sha256(col.to_json().encode()).hexdigest()[:16] == digest
@@ -303,6 +314,9 @@ class TestHypercubeBuilds:
     (hypercube_base_interval, (3,), "64d01c689075a72d"),
     (hypercube_base_interval, (4,), "c6e6ae7c2423f022"),
     (hypercube_base_interval, (6,), "1a36aca5f7989b51"),
+    (hypercube_base_interval, (8,), "fd8dfdaeb4980f1c"),
+    (hypercube_base_interval, (10,), "56180791fff5f427"),
+    (hypercube_base_interval, (12,), "d7f9c7f4b9a59486"),
 ])
 def test_colorer_bytes_are_stable(build, params, digest):
     g, col, *classes = build(*params)
@@ -326,7 +340,7 @@ class TestSizeLimits:
         monkeypatch.setattr(graphs, "MAX_EDGE_COUNT", 26)
         assert color_tripartite(4, 3, 2)[0] == g
         monkeypatch.setattr(graphs, "MAX_EDGE_COUNT", 25)
-        self.forbid(monkeypatch, "_key", "Graph")
+        self.forbid(monkeypatch, "Graph")
         with pytest.raises(GraphError, match="limits"):
             color_tripartite(2, 3, 4)
         monkeypatch.setattr(graphs, "MAX_VERTEX_COUNT", 8)
