@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
@@ -357,12 +356,19 @@ def search_range(g: Graph, t_hi: Optional[int] = None) -> tuple[int, int]:
 
 def _map_tasks(fn: Callable, tasks: Iterable, jobs: int) -> Iterator:
     """fn over tasks, in order; the one owner of worker processes.  One pool
-    of min(jobs, tasks, CPUs) workers when that is above 1; else each task runs
-    here when its result is asked for, so a caller may stop early."""
+    of min(jobs, tasks, CPUs) workers when that is above 1, counting the CPUs
+    this process may run on (its affinity set, where the platform has one: a
+    container may be limited to a few of the host's CPUs); else each task
+    runs here when its result is asked for, so a caller may stop early.  The
+    pool module, and with it multiprocessing, is imported only on the branch
+    that starts a pool: with one worker or one task, none is loaded."""
     if jobs > 1:
         tasks = list(tasks)
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(jobs, len(tasks), cpus)
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return iter(list(pool.map(fn, tasks)))
     return map(fn, tasks)

@@ -14,6 +14,10 @@ neighbourhood-key loops that the sweep and the twin order ran before both
 read one twin rule; first_twins_by_definition compares neighbourhood sets.
 kstar_by_pairs is the kstar recognizer as it stood before it counted edges:
 it tests every pair of the would-be clique for adjacency.
+reference_validate is the coloring validator as it stood before it let a
+vertex of distinct consecutive colors skip the per-edge bookkeeping, and
+before it scanned for out-of-range colors only when some color lay outside
+[1, t]; it returns the report as ValidationResult.to_dict() writes it.
 """
 
 from __future__ import annotations
@@ -463,3 +467,45 @@ def reference_decide(n, edges, t, node_budget):
     for pos, e in enumerate(order):
         colors[e] = bits[pos].bit_length()
     return "feasible", nodes, tuple(colors)
+
+
+def reference_validate(g, coloring, cyclic):
+    """Every violation of the cyclic (or, with cyclic False, the plain)
+    interval coloring definition, as {"verdict", "violations"}: an
+    out-of-range color per edge, then per vertex its clashes in incident
+    order, or, when it has none and no out-of-range color, its spectrum;
+    then one color-unused record per gap in the used colors."""
+    t, colors = coloring.t, coloring.colors
+    violations = []
+    bad_edges = set()
+    for i, c in enumerate(colors):
+        if not 1 <= c <= t:
+            bad_edges.add(i)
+            violations.append({"kind": "color-out-of-range", "color": c,
+                               "edge": list(g.edges[i])})
+    for v in range(g.vertex_count):
+        seen, clashed, touches_bad = set(), set(), False
+        for e in g.incident_edges[v]:
+            c = colors[e]
+            if e in bad_edges:
+                touches_bad = True
+            if c in seen and c not in clashed:
+                clashed.add(c)
+                violations.append({"kind": "not-proper", "vertex": v, "color": c})
+            seen.add(c)
+        if clashed or touches_bad or not seen:
+            continue
+        s = sorted(seen)
+        if cyclic:
+            max_gap = max([s[0] + t - s[-1]] + [b - a for a, b in zip(s, s[1:])])
+            if t - max_gap + 1 > len(s):
+                violations.append({"kind": "spectrum-not-cyclic-interval", "vertex": v})
+        elif s[-1] - s[0] + 1 != len(s):
+            violations.append({"kind": "spectrum-not-interval", "vertex": v})
+    used = [0, *sorted({c for c in colors if 1 <= c <= t}), t + 1]
+    for a, b in zip(used, used[1:]):
+        if b > a + 2:
+            violations.append({"kind": "color-unused", "color": a + 1, "last": b - 1})
+        elif b > a + 1:
+            violations.append({"kind": "color-unused", "color": a + 1})
+    return {"verdict": "invalid" if violations else "valid", "violations": violations}

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from intcyclic import (
     EdgeColoring,
+    Graph,
     is_cyclic_interval,
     is_integer_interval,
     make_complete,
@@ -180,6 +181,36 @@ class TestValidators:
 def make_complete_star():
     from intcyclic import make_complete_bipartite
     return make_complete_bipartite(1, 3)
+
+
+@st.composite
+def colored_graphs(draw):
+    """A graph on up to 7 vertices (isolated ones too) and t colors, mostly
+    in [1, t], sometimes 0, negative or above t: clashes, wraps, unused
+    colors and out-of-range colors all occur."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    t = draw(st.integers(1, 9))
+    color = st.one_of(st.integers(1, t), st.sampled_from([-1, 0, t + 1, t + 2]))
+    colors = draw(st.lists(color, min_size=len(edges), max_size=len(edges)))
+    return Graph(n, tuple(edges)), EdgeColoring(t, tuple(colors))
+
+
+# the validators skip the per-edge bookkeeping at a vertex of distinct
+# consecutive colors; the reference has no such path.  Examples: a clash at
+# a degree-3 vertex whose sorted span is still 2, (1, 1, 3); a wrap; an
+# out-of-range color at a vertex whose colors are otherwise consecutive
+@given(colored_graphs())
+@example((make_complete_star(), EdgeColoring(3, (1, 1, 3))))
+@example((make_complete_star(), EdgeColoring(4, (1, 3, 4))))
+@example((make_complete_star(), EdgeColoring(5, (1, 4, 5))))
+@example((make_complete_star(), EdgeColoring(3, (0, 1, 2))))
+@example((make_path(3), EdgeColoring(2, (2, 3))))
+def test_validators_agree_with_reference(case):
+    g, col = case
+    assert validate_cyclic(g, col).to_dict() == oracles.reference_validate(g, col, cyclic=True)
+    assert validate_interval(g, col).to_dict() == oracles.reference_validate(g, col, cyclic=False)
 
 
 class TestSpectrumReport:

@@ -1,4 +1,9 @@
+import concurrent.futures
+import subprocess
+import sys
+import textwrap
 from itertools import count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +41,30 @@ from intcyclic.solver import (
 )
 
 import oracles
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """An in-process stand-in for the process pool, at the name _map_tasks
+    imports; the list it returns records the worker count of each pool
+    started."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return seen
 
 
 # graphs small enough for the full-enumeration oracle across their whole range
@@ -412,27 +441,48 @@ class TestFeasibleSet:
     # K4 has 4 t values to search (3-6; it is not Eulerian, so parity excludes
     # none); a fake pool records how many workers start
     @pytest.mark.parametrize("cpus,started", [(3, [3]), (64, [4]), (1, []), (None, [])])
-    def test_worker_count_bounded(self, monkeypatch, cpus, started):
-        seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
+    def test_worker_count_bounded(self, monkeypatch, pool_starts, cpus, started):
+        # a platform without an affinity set: the host's count caps workers
+        monkeypatch.delattr(solver.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
         fs = feasible_set(make_complete(4), jobs=10**6)
-        assert seen == started
+        assert pool_starts == started
         assert fs.members == (3, 4) and fs.exhausted
+
+    # a process limited to a few of the host's 64 CPUs starts a worker per
+    # CPU it may run on, not per host CPU
+    @pytest.mark.parametrize("cpus,started", [(3, [3]), (2, [2]), (1, [])])
+    def test_worker_count_follows_affinity(self, monkeypatch, pool_starts, cpus, started):
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: 64)
+        fs = feasible_set(make_complete(4), jobs=10**6)
+        assert pool_starts == started
+        assert fs.members == (3, 4) and fs.exhausted
+
+    # a fresh interpreter, since pytest or hypothesis may already have
+    # imported concurrent.futures here; it sees two usable CPUs, so that
+    # jobs=2 starts a pool on any host
+    def test_pool_module_loads_only_when_a_pool_starts(self):
+        code = textwrap.dedent("""
+            import os, sys
+            sys.path.insert(0, sys.argv[1])
+            def loaded():
+                return sorted(m for m in sys.modules
+                              if m.split(".")[0] in ("concurrent", "multiprocessing"))
+            import intcyclic, intcyclic.cli
+            assert not loaded(), loaded()
+            g = intcyclic.make_complete(5)
+            one = intcyclic.solver.feasible_set(g).to_dict()
+            assert not loaded(), loaded()
+            os.sched_getaffinity = lambda pid: {0, 1}
+            assert intcyclic.solver.feasible_set(g, jobs=2).to_dict() == one
+            assert "concurrent.futures.process" in sys.modules
+        """)
+        src = str(Path(solver.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_jobs_give_the_same_record(self):
         # witnesses and node counts too, not only the members
@@ -713,29 +763,14 @@ class TestConjectureScan:
     # whole corpus (one per graph would be one per feasible set), and none
     # for one worker
     @pytest.mark.parametrize("jobs,started", [(2, [2]), (10**6, [4]), (1, [])])
-    def test_one_pool_per_scan(self, monkeypatch, jobs, started):
-        seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+    def test_one_pool_per_scan(self, monkeypatch, pool_starts, jobs, started):
         corpus = [make_cycle(5), make_complete(4), make_path(4), make_cycle(6),
                   make_complete_bipartite(2, 3)]
         want = conjecture_scan(corpus).to_dict()
-        monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(solver.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
         report = conjecture_scan(corpus, jobs=jobs)
-        assert seen == started
+        assert pool_starts == started
         assert report.to_dict() == want
 
     def test_one_worker_reads_the_corpus_one_graph_at_a_time(self, monkeypatch):
