@@ -192,30 +192,20 @@ def _validate(g: Graph, coloring: EdgeColoring, cyclic: bool) -> ValidationResul
         raise ValueError(
             f"coloring has {len(coloring.colors)} colors for {g.edge_count} edges")
     t = coloring.t
-    colors = coloring.colors
     violations: list[Violation] = []
 
-    # the per-edge scan runs only when some color lies outside [1, t]
-    in_range = not colors or (1 <= min(colors) and max(colors) <= t)
     bad_edges = set()
-    if not in_range:
-        for i, c in enumerate(colors):
-            if not 1 <= c <= t:
-                bad_edges.add(i)
-                violations.append(Violation("color-out-of-range", edge=g.edges[i], color=c))
+    for i, c in enumerate(coloring.colors):
+        if not 1 <= c <= t:
+            bad_edges.add(i)
+            violations.append(Violation("color-out-of-range", edge=g.edges[i], color=c))
 
-    for v, incident in enumerate(g.incident_edges):
-        # d distinct consecutive colors are proper and an interval, plain and
-        # cyclic, and give no violation: the common case of a valid witness
-        distinct = {colors[e] for e in incident}
-        if len(distinct) == len(incident) and (
-                not distinct or max(distinct) - min(distinct) < len(distinct)):
-            continue
+    for v in range(g.vertex_count):
         seen: set[int] = set()
         clashed: set[int] = set()
         touches_bad = False
-        for e in incident:
-            c = colors[e]
+        for e in g.incident_edges[v]:
+            c = coloring.colors[e]
             if e in bad_edges:
                 touches_bad = True
             if c in seen and c not in clashed:
@@ -234,8 +224,7 @@ def _validate(g: Graph, coloring: EdgeColoring, cyclic: bool) -> ValidationResul
 
     # one color-unused violation per gap between used colors, with 0 and
     # t + 1 as the ends: the cost follows |E|, not t
-    used = [0, *sorted(set(colors) if in_range else {c for c in colors if 1 <= c <= t}),
-            t + 1]
+    used = [0, *sorted({c for c in coloring.colors if 1 <= c <= t}), t + 1]
     violations += [Violation("color-unused", color=a + 1, last=b - 1 if b > a + 2 else None)
                    for a, b in zip(used, used[1:]) if b > a + 1]
 

@@ -14,10 +14,9 @@ neighbourhood-key loops that the sweep and the twin order ran before both
 read one twin rule; first_twins_by_definition compares neighbourhood sets.
 kstar_by_pairs is the kstar recognizer as it stood before it counted edges:
 it tests every pair of the would-be clique for adjacency.
-reference_validate is the coloring validator as it stood before it let a
-vertex of distinct consecutive colors skip the per-edge bookkeeping, and
-before it scanned for out-of-range colors only when some color lay outside
-[1, t]; it returns the report as ValidationResult.to_dict() writes it.
+reference_validate states the coloring validator's report independently
+of coloring.py, as ValidationResult.to_dict() writes it: the reference for
+any shortcut the validator may take.
 """
 
 from __future__ import annotations

@@ -197,10 +197,10 @@ def colored_graphs(draw):
     return Graph(n, tuple(edges)), EdgeColoring(t, tuple(colors))
 
 
-# the validators skip the per-edge bookkeeping at a vertex of distinct
-# consecutive colors; the reference has no such path.  Examples: a clash at
-# a degree-3 vertex whose sorted span is still 2, (1, 1, 3); a wrap; an
-# out-of-range color at a vertex whose colors are otherwise consecutive
+# the validators against an independent statement of their report.
+# Examples a shortcut could get wrong: a clash at a degree-3 vertex whose
+# sorted span is still 2, (1, 1, 3); a wrap; an out-of-range color at a
+# vertex whose colors are otherwise consecutive
 @given(colored_graphs())
 @example((make_complete_star(), EdgeColoring(3, (1, 1, 3))))
 @example((make_complete_star(), EdgeColoring(4, (1, 3, 4))))
