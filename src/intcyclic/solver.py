@@ -1,14 +1,19 @@
 """Exact decision procedure and feasible-set computation.
 
 decide() runs a complete backtracking search over edge colorings.  Edges are
-taken in the visit order of the graph's component pass, a BFS from each
-component's first maximum-degree vertex, so the tightest spectrum
-constraints engage early.  The search is an explicit-stack loop with no depth
-limit: each position keeps the bitset of its untried candidate colors and
-takes them lowest first.  A position's candidates are the colors free at both
-endpoints that keep each endpoint's spectrum inside some cyclic window of its
-degree size: each endpoint's allowed() window mask less its spectrum, cached
-per (degree, spectrum) for the call.  Branches that cannot use all t colors
+taken in a static fail-first order (see _search_order): the star of the
+start vertex a, the first maximum-degree vertex, then the edges among a's
+neighbours, whose spectra the star has begun, then the other edges in the
+visit order of the graph's component pass, a BFS from each component's
+first maximum-degree vertex.  So the tightest spectrum constraints engage
+early.  The symmetry cuts below constrain only the star, and the counting
+and coverage cuts hold in any order, so the order leaves every cut sound.
+The search is an explicit-stack loop with no depth limit: each position
+keeps the bitset of its untried candidate colors and takes them lowest
+first.  A position's candidates are the colors free at both endpoints that
+keep each endpoint's spectrum inside some cyclic window of its degree size:
+each endpoint's allowed() window mask less its spectrum, cached per
+(degree, spectrum) for the call.  Branches that cannot use all t colors
 are cut, by counting at every position and, after a placement in the first
 half of the order, by coverage: each color not yet used must still be a
 candidate of some later edge (see decide()).  Three symmetry cuts keep only
@@ -38,6 +43,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import bounds as bounds_mod
@@ -130,14 +136,60 @@ class FeasibleSet:
 
 
 def _search_order(g: Graph) -> list[int]:
-    """Edge indices in the component pass's visit order (a BFS from each
-    component's first maximum-degree vertex; see Graph._components),
-    appending each visited vertex's unseen incident edges."""
+    """Edge indices in search order: the first star, then the edges inside
+    its neighbourhood, fail first, then every other edge in the component
+    pass's visit order.
+
+    The start vertex a is the root of the component pass's first walk (see
+    Graph._components), and its edges, far endpoints ascending, fill the
+    first deg(a) positions.  The edges with both ends in N(a) come next,
+    vertex by vertex: take the neighbour b with the largest share
+    placed/deg of its edges already placed (ties: visit order), and append
+    its unplaced edges inside N(a), partners with the larger share first
+    (ties: visit order).  Last come the other edges in visit order (a BFS
+    from each component's root, appending each visited vertex's unseen
+    incident edges), which puts the edges with one end in N(a) before the
+    rest.  After the star, an edge inside N(a) has both ends' spectra begun,
+    so it has the fewest candidates (Haralick & Elliott, Artif. Intell. 14,
+    1980).  The symmetry cuts constrain only the star, which comes first,
+    and coverage and counting hold in any order, so each cut stays sound.
+    A triangle-free graph has no edge inside N(a): its order is the visit
+    order.
+
+    A heap holds one entry per share a neighbour has had, so the order costs
+    O(m log m).  Shares compare exactly as floats: p/d is correctly rounded,
+    and two distinct fractions with denominators at most MAX_VERTEX_COUNT
+    (10**6) differ by at least 1e-12, far above the rounding error."""
     added = [False] * g.edge_count
-    order: list[int] = []
-    for walk in g._components[0]:
+    walks = g._components[0]
+    if not walks:
+        return []
+    adjacency, incident, deg = g.adjacency, g.incident_edges, g.degrees
+    a = walks[0][0]
+    star = adjacency[a]
+    order = list(incident[a])  # the star's edges, in the order of its far ends
+    for e in order:
+        added[e] = True
+    rank = {b: i for i, b in enumerate(star)}  # N(a) in visit order
+    placed = dict.fromkeys(star, 1)
+    heap = [(-1 / deg[b], i, b) for i, b in enumerate(star)]
+    heapify(heap)
+    while heap:
+        _, _, b = heappop(heap)
+        if placed[b] < 0:  # done; an older, smaller share of b
+            continue
+        placed[b] = -1
+        partners = sorted((-placed[c] / deg[c], rank[c], c, e)
+                          for c, e in zip(adjacency[b], incident[b])
+                          if c in rank and not added[e])
+        for _, r, c, e in partners:
+            added[e] = True
+            order.append(e)
+            placed[c] += 1
+            heappush(heap, (-placed[c] / deg[c], r, c))
+    for walk in walks:
         for u in walk:
-            for e in g.incident_edges[u]:
+            for e in incident[u]:
                 if not added[e]:
                     added[e] = True
                     order.append(e)
@@ -232,15 +284,17 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     position, which has no later edge.
 
     The check runs only after placements at pos < m // 2.  On the 995
-    connected graphs on 2-7 vertices at a 1M budget, the scan takes 12.56M
-    nodes with no check, 10.30M checking pos < m // 3, 5.60M for
-    pos < m // 2, 3.09M for pos < 2m // 3 and 2.83M at every position.  A
-    search that runs to its budget spends most of its nodes deep in the
-    order, where a check walks far before it covers every color: on five
-    such searches (Q_4 at t = 12 and 14, K_8 at 14, K_7 at 10, K_{2,2,3} at
-    9; 20k budget) the time per node over all five is within a few percent
-    of no check when checking the first half (K_8 alone about 1.15x), but
-    1.7x for two thirds and 2.5x at every position."""
+    connected graphs on 2-7 vertices at a 1M budget, the scan takes 8.70M
+    nodes with no check, 7.26M checking pos < m // 3, 4.46M for
+    pos < m // 2, 2.48M for pos < 2m // 3 and 2.23M at every position, with
+    the same answers each time.  A search that runs to its budget spends
+    most of its nodes deep in the order, where a check walks far before it
+    covers every color: on five such searches in the visit order (Q_4 at
+    t = 12 and 14, K_8 at 14, K_7 at 10, K_{2,2,3} at 9; 20k budget) the
+    time per node over all five was within a few percent of no check when
+    checking the first half (K_8 alone about 1.15x), but 1.7x for two
+    thirds and 2.5x at every position.  The first four keep that order;
+    K_{2,2,3} at 9 is now decided, infeasible, in 4,819 nodes."""
     if t < 1:
         raise ValueError("t must be a positive integer")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget

@@ -7,10 +7,12 @@ by full enumeration, path metrics via the degree-sum identity, heaviest
 shortest paths by listing every shortest path, canonical forms by trying
 every vertex permutation or, for trees, every root, and the tree path metric
 by walking the path.  reference_decide is the backtracking kernel as it stood
-before the twin-order cut, kept verbatim as the baseline that the package's
-search must agree with, and bfs_edge_order is its edge-order loop on its
-own.  sweep_sources_by_keys and twin_links_by_keys are the two
-neighbourhood-key loops that the sweep and the twin order ran before both
+before the twin-order cut, kept as the baseline that the package's search
+must agree with; it takes its edge order as an argument.
+fail_first_edge_order states the package's order by its rule, with exact
+fractions, and bfs_edge_order is the visit order that the search used
+before it, the old baseline.  sweep_sources_by_keys and twin_links_by_keys
+are the two neighbourhood-key loops that the sweep and the twin order ran before both
 read one twin rule; first_twins_by_definition compares neighbourhood sets.
 kstar_by_pairs is the kstar recognizer as it stood before it counted edges:
 it tests every pair of the would-be clique for adjacency.
@@ -21,6 +23,7 @@ any shortcut the validator may take.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
 
 INF = float("inf")
@@ -387,42 +390,62 @@ def bfs_edge_order(n, edges):
     return order
 
 
-def reference_decide(n, edges, t, node_budget):
+def fail_first_edge_order(n, edges):
+    """The search's edge order by its rule, stated on bfs_edge_order: the
+    first star (the start vertex a's edges, first in the BFS order), then
+    the edges with both ends in N(a), then the edges with exactly one end in
+    N(a) and last all others, both in BFS order.  The edges inside N(a)
+    come vertex by vertex: pick the neighbour with the largest share
+    placed/degree of its edges placed so far (ties: the earlier in BFS
+    order, here the smaller), then append its unplaced edges inside N(a),
+    partners with the larger share first (ties: the smaller).  Shares are
+    exact Fractions, rescored from scratch at every step."""
+    edges = sorted(tuple(sorted(e)) for e in edges)
+    bfs = bfs_edge_order(n, edges)
+    if not edges:
+        return bfs
+    deg = [sum(v in e for e in edges) for v in range(n)]
+    a = min(range(n), key=lambda v: (-deg[v], v))
+    near = sorted(u + v - a for u, v in edges if a in (u, v))
+    star = bfs[:deg[a]]
+    placed = set(star)
+
+    def share(v):
+        return Fraction(sum(v in edges[e] for e in placed), deg[v])
+
+    middle = []
+    todo = list(near)
+    while todo:
+        b = max(todo, key=lambda v: (share(v), -v))
+        todo.remove(b)
+        partners = [c for c in near
+                    if (min(b, c), max(b, c)) in edges
+                    and edges.index((min(b, c), max(b, c))) not in placed]
+        for c in sorted(partners, key=lambda c: (-share(c), c)):
+            e = edges.index((min(b, c), max(b, c)))
+            middle.append(e)
+            placed.add(e)
+    one_end = [e for e in bfs[deg[a]:] if (edges[e][0] in near) != (edges[e][1] in near)]
+    others = [e for e in bfs[deg[a]:] if edges[e][0] not in near and edges[e][1] not in near]
+    return star + middle + one_end + others
+
+
+def reference_decide(n, edges, t, node_budget, order):
     """The search kernel with only the rotation pin, the reflection cap, the
-    window masks and the counting cut: returns (decision, nodes explored,
-    colors in sorted edge order or None).  Same edge order (BFS from a
-    maximum-degree vertex, per component), same ascending color order and
-    same node counting as the package's decide()."""
+    window masks and the counting cut, taking the edges in the given order
+    (indices into the sorted edge list): returns (decision, nodes explored,
+    colors in sorted edge order or None).  Same ascending color order and
+    same node counting as the package's decide(); given the package's edge
+    order (fail_first_edge_order), it searches the same tree less the twin
+    and coverage cuts."""
     edges = sorted(tuple(sorted(e)) for e in edges)
     m = len(edges)
     if t > m:
         return "infeasible", 0, None
-    adj = [[] for _ in range(n)]
-    inc = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        adj[u].append(v)
-        adj[v].append(u)
-        inc[u].append(i)
-        inc[v].append(i)
-    adj = [sorted(a) for a in adj]
-    deg = [len(a) for a in adj]
-    dist = [-1] * n
-    added = [False] * m
-    order = []
-    for start in sorted(range(n), key=lambda v: (-deg[v], v)):
-        if dist[start] >= 0:
-            continue
-        dist[start] = 0
-        queue = [start]
-        for u in queue:
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-            for e in inc[u]:
-                if not added[e]:
-                    added[e] = True
-                    order.append(e)
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
     eu = [edges[e][0] for e in order]
     ev = [edges[e][1] for e in order]
     full = (1 << t) - 1

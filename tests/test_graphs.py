@@ -781,12 +781,30 @@ class TestForestSweep:
 
 
 def check_search_order(g):
-    assert solver._search_order(g) == oracles.bfs_edge_order(g.vertex_count, g.edges)
+    assert solver._search_order(g) == oracles.fail_first_edge_order(g.vertex_count, g.edges)
+
+
+@st.composite
+def triangle_free_graphs(draw):
+    """A random triangle-free graph on 0-9 vertices: drawn pairs become
+    edges in turn unless their ends already share a neighbour."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    neigh = [set() for _ in range(n)]
+    edges = []
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        if neigh[u].isdisjoint(neigh[v]):
+            neigh[u].add(v)
+            neigh[v].add(u)
+            edges.append((u, v))
+    return Graph(n, tuple(edges))
 
 
 class TestSearchOrder:
-    """The search order is the component pass's walks: a BFS from each
-    component's first maximum-degree vertex, in (-degree, vertex) order."""
+    """The search order is the first star, the edges inside its
+    neighbourhood fail first, then the component pass's walks: a BFS from
+    each component's first maximum-degree vertex, in (-degree, vertex)
+    order."""
 
     def test_atlas(self, atlas):
         for g in atlas:
@@ -810,14 +828,32 @@ class TestSearchOrder:
         assert [walk[0] for walk in g._components[0]] == roots
         check_search_order(g)
 
+    @given(triangle_free_graphs())
+    def test_triangle_free_keeps_the_bfs_order(self, g):
+        # N(a) is independent, so nothing moves ahead of the visit order
+        assert not oracles.has_triangle(g.vertex_count, g.edges)
+        assert solver._search_order(g) == oracles.bfs_edge_order(g.vertex_count, g.edges)
+
+    @pytest.mark.parametrize("g", [
+        Graph(5, ((0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))),
+        Graph(6, ((0, 1), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4), (4, 5))),
+        make_complete_tripartite(2, 2, 3),
+    ], ids=["partners-by-share", "share-not-count", "K2-2-3"])
+    def test_shares_set_the_inside_order(self, g):
+        # the first pick's partners differ in share; a neighbour with fewer
+        # placed edges but a larger share goes first
+        check_search_order(g)
+
     def test_bfs_edge_order_is_the_reference_loop(self):
-        # bfs_edge_order is reference_decide's edge-order loop line for line,
-        # so these tests and the reference comparisons share one baseline
+        # reference_decide takes its edge order as an argument: both orders
+        # and the kernel index one sorted edge list, so an order fed to the
+        # reference names the edges its colors are returned for, and the
+        # rule's order is stated on the BFS baseline
         body = inspect.getsource(oracles.bfs_edge_order).split('"""')[-1]
-        adj = body.index("    adj = ")
-        reference = inspect.getsource(oracles.reference_decide)
-        assert body[body.index("    edges = "):adj] in reference  # the edges and m
-        assert body[adj:body.index("    return order")] in reference  # the BFS loop
+        edges = body[body.index("    edges = "):body.index("    adj = ")]  # the edges and m
+        assert edges in inspect.getsource(oracles.reference_decide)
+        fail_first = inspect.getsource(oracles.fail_first_edge_order)
+        assert edges.splitlines()[0] in fail_first and "bfs_edge_order(n, edges)" in fail_first
 
     def test_reads_the_component_pass(self, monkeypatch):
         g = Graph(9, ((0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7)))

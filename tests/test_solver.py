@@ -114,7 +114,7 @@ class TestDecide:
         (make_complete(5), 7, INFEASIBLE, 160, None),
         (make_hypercube(3), 8, FEASIBLE, 196, (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)),
         (make_gdn(4, 4), 10, FEASIBLE, 26, (1, 2, 3, 4, 8, 9, 10, 5, 6, 7, 3, 4)),
-        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 152, None),
+        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 155, None),
         (make_complete(6), 8, FEASIBLE, 15,
          (1, 2, 3, 4, 5, 3, 2, 5, 4, 1, 7, 8, 8, 7, 6)),
         (make_tree_hat(make_hub_tree(2, 2)), 5, FEASIBLE, 12, (5, 1, 2, 1, 2, 3, 1, 2, 3, 4)),
@@ -194,16 +194,18 @@ def test_allowed_is_window_extension(t):
 
 def check_against_reference(g, budget):
     """Every t of the feasible set against the kernel without the twin cut
-    and the coverage cut (oracles.reference_decide) at the same budget:
-    where the reference decides, the same decision and the same witness;
-    everywhere, no more nodes.  A t that a theorem excludes must be
-    infeasible by the reference too, and decide() is still run there to
-    check both cuts.  Returns the (reference, new) node totals."""
+    and the coverage cut (oracles.reference_decide) at the same budget, in
+    the same edge order (oracles.fail_first_edge_order): where the
+    reference decides, the same decision and the same witness; everywhere,
+    no more nodes.  A t that a theorem excludes must be infeasible by the
+    reference too, and decide() is still run there to check both cuts.
+    Returns the (reference, new) node totals."""
     fs = feasible_set(g, node_budget=budget)
+    order = oracles.fail_first_edge_order(g.vertex_count, g.edges)
     totals = [0, 0]
     for rec in fs.decisions:
         want, ref_nodes, ref_colors = oracles.reference_decide(
-            g.vertex_count, g.edges, rec.t, budget)
+            g.vertex_count, g.edges, rec.t, budget, order)
         if rec.source == "search":
             got, nodes, witness = rec.decision, rec.nodes_explored, fs.witnesses.get(rec.t)
         else:
@@ -272,11 +274,12 @@ class TestTwinOrder:
         # through the first half of the order some later edge has two
         # untouched ends, and it can take every color
         assert solver._twin_links(g) == []
+        order = oracles.fail_first_edge_order(g.vertex_count, g.edges)
         lo, hi = solver.search_range(g)
         for t in range(lo, hi + 1):
             out = decide(g, t)
             got = (out.decision, out.nodes_explored, out.witness.colors if out.witness else None)
-            assert got == oracles.reference_decide(g.vertex_count, g.edges, t, 10**6), t
+            assert got == oracles.reference_decide(g.vertex_count, g.edges, t, 10**6, order), t
 
     def test_agrees_with_reference_on_atlas(self, atlas):
         # every connected graph on up to 6 vertices, every t of its range;
@@ -285,6 +288,20 @@ class TestTwinOrder:
         assert len(graphs) == 143
         ref, new = map(sum, zip(*(check_against_reference(g, 200_000) for g in graphs)))
         assert new < ref // 3
+
+    def test_bfs_order_keeps_every_decision_on_atlas(self, atlas):
+        # the reference in the old BFS order and in the search's order decide
+        # every t of every connected graph on up to 6 vertices the same way
+        graphs = [g for g in atlas if 1 <= g.vertex_count <= 6 and is_connected(g)]
+        assert len(graphs) == 143
+        for g in graphs:
+            n, edges = g.vertex_count, g.edges
+            orders = (oracles.bfs_edge_order(n, edges), oracles.fail_first_edge_order(n, edges))
+            lo, hi = solver.search_range(g)
+            for t in range(lo, hi + 1):
+                bfs, fail_first = (oracles.reference_decide(n, edges, t, 200_000, order)[0]
+                                   for order in orders)
+                assert bfs == fail_first != TIMEOUT, (edges, t)
 
     @given(hubs_with_planted_twins())
     def test_planted_twins_agree_with_reference(self, g):
@@ -354,7 +371,8 @@ class TestMatchingCapacity:
         g = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)][1:])
         fs = feasible_set(g)
         assert fs.decisions[0] == solver.SolveOutcome(INFEASIBLE, 4, None, 0, source="matching")
-        assert oracles.reference_decide(5, g.edges, 4, 10**6)[0] == INFEASIBLE
+        order = oracles.fail_first_edge_order(5, g.edges)
+        assert oracles.reference_decide(5, g.edges, 4, 10**6, order)[0] == INFEASIBLE
 
     def test_in_certificate_transcript(self):
         res = certify_noncolorable(make_complete(5), node_budget=1)
