@@ -12,8 +12,10 @@ The search is an explicit-stack loop with no depth limit: each position
 keeps the bitset of its untried candidate colors and takes them lowest
 first.  A position's candidates are the colors free at both endpoints that
 keep each endpoint's spectrum inside some cyclic window of its degree size:
-each endpoint's allowed() window mask less its spectrum, cached per
-(degree, spectrum) for the call.  Branches that cannot use all t colors
+each endpoint's allowed() window mask less its spectrum, read from one
+window table per process keyed on (t, degree, spectrum), which is cleared
+once it holds more than WINDOW_TABLE_CAP entries; no answer depends on its
+state (see _WINDOWS).  Branches that cannot use all t colors
 are cut, by counting at every position and, after a placement in the first
 half of the order, by coverage: each color not yet used must still be a
 candidate of some later edge (see decide()).  Three symmetry cuts keep only
@@ -157,9 +159,12 @@ def _search_order(g: Graph) -> list[int]:
     order.
 
     A heap holds one entry per share a neighbour has had, so the order costs
-    O(m log m).  Shares compare exactly as floats: p/d is correctly rounded,
-    and two distinct fractions with denominators at most MAX_VERTEX_COUNT
-    (10**6) differ by at least 1e-12, far above the rounding error."""
+    O(m log m); a neighbour with no edge inside N(a) never enters it, so a
+    triangle-free graph pays one disjointness test per neighbour.  Shares
+    compare exactly as floats: p/d is correctly rounded, and two distinct
+    fractions with denominators at most MAX_VERTEX_COUNT (10**6) differ by at
+    least 1e-12, far above the rounding error.  Ties go to the lower vertex
+    number, which is the visit order on N(a): the star lists it ascending."""
     added = [False] * g.edge_count
     walks = g._components[0]
     if not walks:
@@ -170,23 +175,25 @@ def _search_order(g: Graph) -> list[int]:
     order = list(incident[a])  # the star's edges, in the order of its far ends
     for e in order:
         added[e] = True
-    rank = {b: i for i, b in enumerate(star)}  # N(a) in visit order
-    placed = dict.fromkeys(star, 1)
-    heap = [(-1 / deg[b], i, b) for i, b in enumerate(star)]
+    placed = dict.fromkeys(star, 1)  # placed edges per neighbour; -1 once done
+    near = placed.keys()
+    heap = [(-1 / deg[b], b) for b in star if not near.isdisjoint(adjacency[b])]
     heapify(heap)
     while heap:
-        _, _, b = heappop(heap)
+        b = heappop(heap)[1]
         if placed[b] < 0:  # done; an older, smaller share of b
             continue
         placed[b] = -1
-        partners = sorted((-placed[c] / deg[c], rank[c], c, e)
-                          for c, e in zip(adjacency[b], incident[b])
-                          if c in rank and not added[e])
-        for _, r, c, e in partners:
+        partners = []
+        for c, e in zip(adjacency[b], incident[b]):
+            if c in near and not added[e]:
+                partners.append((-placed[c] / deg[c], c, e))
+        partners.sort()
+        for _, c, e in partners:
             added[e] = True
             order.append(e)
             placed[c] += 1
-            heappush(heap, (-placed[c] / deg[c], r, c))
+            heappush(heap, (-placed[c] / deg[c], c))
     for walk in walks:
         for u in walk:
             for e in incident[u]:
@@ -224,6 +231,16 @@ def _search_plan(g: Graph) -> tuple[list[int], list[int]]:
     if plan is None:
         plan = vars(g)["_search_plan"] = (_search_order(g), _twin_links(g))
     return plan
+
+
+# The window table: (t, degree) -> {spectrum mask: allowed(mask, degree, t)
+# & ~mask}, shared by every decide() in this process.  Each value is a pure
+# function of its key, so no answer, node count or witness depends on what the
+# table holds.  decide() clears it at its start once it holds more than
+# WINDOW_TABLE_CAP entries, so a process holds at most the cap plus one call's
+# own growth.
+WINDOW_TABLE_CAP = 1 << 16
+_WINDOWS: dict[tuple[int, int], dict[int, int]] = {}
 
 
 def allowed(mask: int, d: int, t: int) -> int:
@@ -311,9 +328,13 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     # only color used; past position 1 (a's second star edge, which cannot
     # take color 1) that needs a start vertex of degree 1.
     early = max(len(twin), 2) if max(deg) >= 2 else m
-    # a vertex's free colors, allowed() less its spectrum, keyed on degree and
-    # spectrum mask and filled on first use
-    free: dict[int, dict[int, int]] = {d: {} for d in set(deg)}
+    # a vertex's free colors, allowed() less its spectrum: the per-degree
+    # dicts of this process's window table for t, keyed on the spectrum mask
+    # and filled on first use.  It is cleared here once over the cap, and no
+    # answer depends on its state (see _WINDOWS)
+    if sum(map(len, _WINDOWS.values())) > WINDOW_TABLE_CAP:
+        _WINDOWS.clear()
+    free = {d: _WINDOWS.setdefault((t, d), {}) for d in set(deg)}
     wu = [free[deg[u]] for u in eu]
     wv = [free[deg[v]] for v in ev]
     capped = (1 << ((t + 2) // 2)) - 1  # colors 1..ceil((t+1)/2)

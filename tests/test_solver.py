@@ -1,12 +1,14 @@
 import concurrent.futures
+import functools
 import subprocess
 import sys
 import textwrap
 from itertools import count
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from intcyclic import (
     EdgeColoring,
@@ -190,6 +192,93 @@ def test_allowed_is_window_extension(t):
             got = solver.allowed(mask, d, t)
             assert {c for c in range(1, t + 1) if got >> (c - 1) & 1} == want, (mask, d)
             assert got >> t == 0
+
+
+def window_entries():
+    return sum(map(len, solver._WINDOWS.values()))
+
+
+@functools.cache
+def warm_windows():
+    """The window table after a scan of graphs unrelated to the ones tested,
+    at a budget that stops some of its searches."""
+    solver._WINDOWS.clear()
+    conjecture_scan([make_complete(5), make_complete(6), make_hypercube(3), make_cycle(7),
+                     make_complete_bipartite(3, 4), make_complete_tripartite(1, 2, 3)],
+                    node_budget=2_000)
+    return {key: dict(table) for key, table in solver._WINDOWS.items()}
+
+
+@st.composite
+def graphs_up_to_seven(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, tuple(edges))
+
+
+class TestWindowTable:
+    """decide() reads its allowed() sets from one table per process, keyed on
+    (t, degree, spectrum).  A value is a pure function of its key, so what
+    the table holds changes no answer, and it is cleared once it holds more
+    than solver.WINDOW_TABLE_CAP entries."""
+
+    @staticmethod
+    def answers(g, t, budget):
+        out = decide(g, t, node_budget=budget)
+        return (out.decision, out.source, out.nodes_explored, out.witness,
+                feasible_set(g, node_budget=budget).to_dict())
+
+    @given(graphs_up_to_seven(), st.integers(1, 16),
+           st.one_of(st.just(1), st.integers(2, 60), st.integers(61, 5_000)))
+    @example(make_complete_tripartite(2, 2, 3), 9, 20_000)
+    @example(make_complete_tripartite(2, 2, 3), 7, 40)
+    @example(make_hypercube(3), 4, 1)
+    @example(make_hypercube(3), 6, 20_000)
+    @example(make_complete(6), 7, 300)
+    @example(make_complete(6), 9, 20_000)
+    def test_state_changes_no_answer(self, g, t, budget):
+        # budgets of 1 and a few dozen nodes end most searches midway
+        solver._WINDOWS.clear()
+        cold = self.answers(g, t, budget)
+        solver._WINDOWS.clear()
+        solver._WINDOWS.update({key: dict(table) for key, table in warm_windows().items()})
+        assert self.answers(g, t, budget) == cold
+        with mock.patch.object(solver, "WINDOW_TABLE_CAP", 0):  # cleared at every call
+            assert self.answers(g, t, budget) == cold
+
+    def test_entries_are_fresh_windows(self, atlas):
+        solver._WINDOWS.clear()
+        conjecture_scan([g for g in atlas if g.vertex_count <= 6])
+        assert window_entries() > 100
+        for (t, d), table in solver._WINDOWS.items():
+            for mask, free in table.items():
+                assert free == solver.allowed(mask, d, t) & ~mask, (t, d, mask)
+
+    def test_a_repeated_search_computes_no_window(self, monkeypatch):
+        calls = []
+        real = solver.allowed
+        monkeypatch.setattr(solver, "allowed", lambda *args: calls.append(args) or real(*args))
+        solver._WINDOWS.clear()
+        first = decide(make_complete(5), 7)
+        assert calls
+        calls.clear()
+        again = decide(make_complete(5), 7)  # a new graph object: nothing cached on it
+        assert calls == [] and (again.nodes_explored, again.witness) == \
+            (first.nodes_explored, first.witness)
+
+    def test_cleared_once_over_the_cap(self, monkeypatch):
+        monkeypatch.setattr(solver, "WINDOW_TABLE_CAP", 100)
+        small = make_cycle(5)
+        solver._WINDOWS.clear()
+        decide(small, 3)
+        alone = {key: dict(table) for key, table in solver._WINDOWS.items()}
+        decide(small, 4)  # under the cap: kept, and added to
+        assert window_entries() > sum(map(len, alone.values()))
+        decide(make_complete_bipartite(2, 40), 42)  # 500 entries of its own
+        assert window_entries() > 500
+        decide(small, 3)  # starts from an empty table
+        assert solver._WINDOWS == alone
 
 
 def check_against_reference(g, budget):
