@@ -320,8 +320,6 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     if t > m:  # fewer edges than colors: nothing can be surjective
         return SolveOutcome(INFEASIBLE, t, None, 0, time.perf_counter() - start)
     order, twin = _search_plan(g)
-    eu = [g.edges[e][0] for e in order]
-    ev = [g.edges[e][1] for e in order]
     deg = g.degrees
     # only the first `early` positions can need the reflection cap or a twin
     # link, so later pushes test neither.  The cap binds while color 1 is the
@@ -335,80 +333,88 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     if sum(map(len, _WINDOWS.values())) > WINDOW_TABLE_CAP:
         _WINDOWS.clear()
     free = {d: _WINDOWS.setdefault((t, d), {}) for d in set(deg)}
-    wu = [free[deg[u]] for u in eu]
-    wv = [free[deg[v]] for v in ev]
+    # one tuple per position: its edge's ends and their window dicts
+    slots = [(u, v, free[deg[u]], free[deg[v]]) for u, v in map(g.edges.__getitem__, order)]
     capped = (1 << ((t + 2) // 2)) - 1  # colors 1..ceil((t+1)/2)
     tight = m - t  # the first k > tight edges must use at least k - tight colors
     half = m // 2  # the coverage check runs after placements at earlier positions
     full = (1 << t) - 1
     vmask = [0] * g.vertex_count
-    cands = [0] * m  # untried candidate colors per position
-    cands[0] = 1  # the first edge is pinned to color 1 (color rotation)
-    used_at = [0] * m  # colors used by the edges before each position
+    # what each position below the current one keeps: its color, its untried
+    # candidates and the colors used before it
     bits = [0] * m
-    pos = nodes = 0
-    while True:
-        c = cands[pos]
+    cands = [0] * m
+    used_at = [0] * m
+    pos = nodes = before = 0  # before: colors used before the current position
+    u, v, _, _ = slots[0]
+    c = 1  # the current position's untried candidates; the first edge is pinned
+    while True:  # to color 1 (color rotation)
         if not c:
             if pos == 0:
                 return SolveOutcome(INFEASIBLE, t, None, nodes, time.perf_counter() - start)
             pos -= 1
+            u, v, _, _ = slots[pos]
             bit = bits[pos]
-            vmask[eu[pos]] ^= bit
-            vmask[ev[pos]] ^= bit
+            vmask[u] ^= bit
+            vmask[v] ^= bit
+            c = cands[pos]
+            before = used_at[pos]
             continue
         bit = c & -c
-        cands[pos] = c ^ bit
+        c ^= bit
         nodes += 1
         if nodes > budget:
             return SolveOutcome(TIMEOUT, t, None, nodes, time.perf_counter() - start)
-        used = used_at[pos] | bit
+        used = before | bit
         if pos >= tight and used.bit_count() < pos + 1 - tight:
             continue  # too few edges left to use every color (counted as a node)
-        vmask[eu[pos]] |= bit
-        vmask[ev[pos]] |= bit
+        vmask[u] |= bit
+        vmask[v] |= bit
         if pos < half:  # coverage: every unused color is a later edge's candidate
             need = full & ~used
             r = m - 1
             while need and r > pos:  # an edge with two untouched ends covers all
-                x = eu[r]
-                y = ev[r]
+                x, y, tx, ty = slots[r]
                 mx = vmask[x]
                 my = vmask[y]
-                fx = wu[r].get(mx)
-                if fx is None:
-                    fx = wu[r][mx] = allowed(mx, deg[x], t) & ~mx
-                fy = wv[r].get(my)
-                if fy is None:
-                    fy = wv[r][my] = allowed(my, deg[y], t) & ~my
+                try:
+                    fx = tx[mx]
+                except KeyError:
+                    fx = tx[mx] = allowed(mx, deg[x], t) & ~mx
+                try:
+                    fy = ty[my]
+                except KeyError:
+                    fy = ty[my] = allowed(my, deg[y], t) & ~my
                 need &= ~(fx & fy)
                 r -= 1
             if need:  # cut (counted as a node)
-                vmask[eu[pos]] ^= bit
-                vmask[ev[pos]] ^= bit
+                vmask[u] ^= bit
+                vmask[v] ^= bit
                 continue
         bits[pos] = bit
+        cands[pos] = c
+        used_at[pos] = before
         pos += 1
         if pos == m:
             break
-        used_at[pos] = used
-        u = eu[pos]
-        v = ev[pos]
+        before = used
+        u, v, tu, tv = slots[pos]
         mu = vmask[u]
         mv = vmask[v]
-        fu = wu[pos].get(mu)
-        if fu is None:
-            fu = wu[pos][mu] = allowed(mu, deg[u], t) & ~mu
-        fv = wv[pos].get(mv)
-        if fv is None:
-            fv = wv[pos][mv] = allowed(mv, deg[v], t) & ~mv
+        try:
+            fu = tu[mu]
+        except KeyError:
+            fu = tu[mu] = allowed(mu, deg[u], t) & ~mu
+        try:
+            fv = tv[mv]
+        except KeyError:
+            fv = tv[mv] = allowed(mv, deg[v], t) & ~mv
         c = fu & fv  # colors are tried in ascending order
         if pos < early:
             if used == 1:  # color reflection: cap at ceil((t+1)/2)
                 c &= capped
             if pos < len(twin) and twin[pos] >= 0:  # above the earlier twin's color
                 c &= -(bits[twin[pos]] << 1)
-        cands[pos] = c
     colors = [0] * m
     for pos, e in enumerate(order):
         colors[e] = bits[pos].bit_length()
