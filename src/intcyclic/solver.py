@@ -17,9 +17,9 @@ window table per process keyed on (t, degree, spectrum), which is cleared
 once it holds more than WINDOW_TABLE_CAP entries; no answer depends on its
 state (see _WINDOWS).  Branches that cannot use all t colors
 are cut, by counting at every position and, after a placement in the first
-half of the order, by coverage: each color not yet used must still be a
-candidate of some later edge (see decide()).  Three symmetry cuts keep only
-the lexicographically least coloring of each orbit (see decide()): the
+three fifths of the order, by coverage: each color not yet used must still
+be a candidate of some later edge (see decide()).  Three symmetry cuts keep
+only the lexicographically least coloring of each orbit (see decide()): the
 first edge is pinned to color 1 (color rotation), the first color other
 than 1 is capped at ceil((t+1)/2) (color reflection), and the edges from
 the first vertex to twin neighbours take increasing colors (twin order).
@@ -300,18 +300,22 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     it stops, it would not cut a complete coloring even at the last
     position, which has no later edge.
 
-    The check runs only after placements at pos < m // 2.  On the 995
+    The check runs only after placements at pos < 3m // 5.  On the 995
     connected graphs on 2-7 vertices at a 1M budget, the scan takes 8.70M
-    nodes with no check, 7.26M checking pos < m // 3, 4.46M for
-    pos < m // 2, 2.48M for pos < 2m // 3 and 2.23M at every position, with
-    the same answers each time.  A search that runs to its budget spends
-    most of its nodes deep in the order, where a check walks far before it
-    covers every color: on five such searches in the visit order (Q_4 at
-    t = 12 and 14, K_8 at 14, K_7 at 10, K_{2,2,3} at 9; 20k budget) the
-    time per node over all five was within a few percent of no check when
-    checking the first half (K_8 alone about 1.15x), but 1.7x for two
-    thirds and 2.5x at every position.  The first four keep that order;
-    K_{2,2,3} at 9 is now decided, infeasible, in 4,819 nodes."""
+    nodes with no check, 7.26M checking pos < m // 3, 4.46M for m // 2,
+    3.68M for 5m // 9, 3.04M for 3m // 5, 2.48M for 2m // 3 and 2.23M at
+    every position, with the same answers each time (median of five fresh
+    runs on a shared 2-core VM: 4.5, 4.3, 3.6, 2.9, 2.8, 2.7 and 2.8 s).  A
+    search that runs to its budget spends most of its nodes deep in the
+    order, where a check walks far before it covers every color.  Over the
+    32 searches of the benchmark's search pool that run to a 20k budget with
+    the check at m // 2 (K_7 at t = 8 and 10-12, K_8 at 12-16, Q_4 at 10-16,
+    and C_200, C_350 and C_650 at a t of n/8), the time per node against no
+    check is 1.05x for m // 2, 1.09x for 5m // 9, 1.16x for 3m // 5, 1.40x
+    for 2m // 3 and 2.3x at every position.  3m // 5 is the deepest of
+    these gates that costs those searches no more than a sixth per node;
+    at 2m // 3 the atlas would save a fifth of its nodes and the 32
+    searches would take a fifth longer."""
     if t < 1:
         raise ValueError("t must be a positive integer")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
@@ -337,7 +341,7 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     slots = [(u, v, free[deg[u]], free[deg[v]]) for u, v in map(g.edges.__getitem__, order)]
     capped = (1 << ((t + 2) // 2)) - 1  # colors 1..ceil((t+1)/2)
     tight = m - t  # the first k > tight edges must use at least k - tight colors
-    half = m // 2  # the coverage check runs after placements at earlier positions
+    gate = 3 * m // 5  # the coverage check runs after placements at earlier positions
     full = (1 << t) - 1
     vmask = [0] * g.vertex_count
     # what each position below the current one keeps: its color, its untried
@@ -347,8 +351,10 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     used_at = [0] * m
     pos = nodes = before = 0  # before: colors used before the current position
     u, v, _, _ = slots[0]
-    c = 1  # the current position's untried candidates; the first edge is pinned
-    while True:  # to color 1 (color rotation)
+    # the current position's untried candidates: the first edge is pinned to
+    # color 1 (color rotation)
+    c = 1
+    while True:
         if not c:
             if pos == 0:
                 return SolveOutcome(INFEASIBLE, t, None, nodes, time.perf_counter() - start)
@@ -370,7 +376,7 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
             continue  # too few edges left to use every color (counted as a node)
         vmask[u] |= bit
         vmask[v] |= bit
-        if pos < half:  # coverage: every unused color is a later edge's candidate
+        if pos < gate:  # coverage: every unused color is a later edge's candidate
             need = full & ~used
             r = m - 1
             while need and r > pos:  # an edge with two untouched ends covers all

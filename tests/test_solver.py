@@ -113,10 +113,10 @@ class TestDecide:
     # node counts and witnesses at a fixed budget pin the search's edge
     # order, color order and pruning
     @pytest.mark.parametrize("g,t,decision,nodes,colors", [
-        (make_complete(5), 7, INFEASIBLE, 160, None),
-        (make_hypercube(3), 8, FEASIBLE, 196, (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)),
+        (make_complete(5), 7, INFEASIBLE, 126, None),
+        (make_hypercube(3), 8, FEASIBLE, 96, (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)),
         (make_gdn(4, 4), 10, FEASIBLE, 26, (1, 2, 3, 4, 8, 9, 10, 5, 6, 7, 3, 4)),
-        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 155, None),
+        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 118, None),
         (make_complete(6), 8, FEASIBLE, 15,
          (1, 2, 3, 4, 5, 3, 2, 5, 4, 1, 7, 8, 8, 7, 6)),
         (make_tree_hat(make_hub_tree(2, 2)), 5, FEASIBLE, 12, (5, 1, 2, 1, 2, 3, 1, 2, 3, 4)),
@@ -125,6 +125,17 @@ class TestDecide:
         out = decide(g, t, node_budget=200_000)
         assert (out.decision, out.nodes_explored) == (decision, nodes)
         assert (out.witness.colors if out.witness else None) == colors
+
+    # decided rows of the paper's families, each within a node bound: one
+    # vertex of degree 500, and the dense end of n = 8, where the coverage
+    # cut must reach deep into the order
+    @pytest.mark.parametrize("g,t,budget,decision,most", [
+        (make_complete_bipartite(2, 500), 502, None, FEASIBLE, 1_002),
+        (make_complete(8), 14, 1_000_000, INFEASIBLE, 1_000_000),
+    ], ids=["K2-500", "K8"])
+    def test_scoreboard_rows(self, g, t, budget, decision, most):
+        out = decide(g, t, node_budget=budget)
+        assert out.decision == decision and out.nodes_explored <= most
 
     # far deeper than the interpreter's recursion limit
     @pytest.mark.parametrize("g,t", [(make_cycle(1200), 3), (make_path(2000), 4)],
@@ -275,8 +286,8 @@ class TestWindowTable:
         alone = {key: dict(table) for key, table in solver._WINDOWS.items()}
         decide(small, 4)  # under the cap: kept, and added to
         assert window_entries() > sum(map(len, alone.values()))
-        decide(make_complete_bipartite(2, 40), 42)  # 500 entries of its own
-        assert window_entries() > 500
+        decide(make_complete_bipartite(2, 40), 42)  # 129 entries of its own
+        assert window_entries() > solver.WINDOW_TABLE_CAP
         decide(small, 3)  # starts from an empty table
         assert solver._WINDOWS == alone
 
@@ -358,17 +369,19 @@ class TestTwinOrder:
     @pytest.mark.parametrize("g", [make_cycle(5), make_cycle(6), make_cycle(7),
                                    make_hypercube(3)], ids=["C5", "C6", "C7", "Q3"])
     def test_without_twins_the_search_is_unchanged(self, g):
-        # no twin links, so the same nodes as the reference; the reflection
-        # cap binds on several of these.  The coverage cut saves no node here:
-        # through the first half of the order some later edge has two
-        # untouched ends, and it can take every color
+        # no twin links, so only the coverage cut can save a node against the
+        # reference; the reflection cap binds on several of these.  Coverage
+        # saves some (C5 at t = 4, Q3 at t = 7 to 9), and never a witness
         assert solver._twin_links(g) == []
         order = oracles.fail_first_edge_order(g.vertex_count, g.edges)
         lo, hi = solver.search_range(g)
         for t in range(lo, hi + 1):
             out = decide(g, t)
-            got = (out.decision, out.nodes_explored, out.witness.colors if out.witness else None)
-            assert got == oracles.reference_decide(g.vertex_count, g.edges, t, 10**6, order), t
+            want, ref_nodes, ref_colors = oracles.reference_decide(
+                g.vertex_count, g.edges, t, 10**6, order)
+            assert (out.decision, out.witness.colors if out.witness else None) == \
+                (want, ref_colors), t
+            assert out.nodes_explored <= ref_nodes, t
 
     def test_agrees_with_reference_on_atlas(self, atlas):
         # every connected graph on up to 6 vertices, every t of its range;
@@ -378,7 +391,7 @@ class TestTwinOrder:
         ref, new = map(sum, zip(*(check_against_reference(g, 200_000) for g in graphs)))
         assert new < ref // 3
         # exact: a change that only speeds the kernel up leaves every node count as it is
-        assert (ref, new) == (164_993, 50_079)
+        assert (ref, new) == (164_993, 40_123)
 
     def test_bfs_order_keeps_every_decision_on_atlas(self, atlas):
         # the reference in the old BFS order and in the search's order decide
