@@ -9,7 +9,7 @@ caller's arrays with each vertex's distance from src and its f, the
 heaviest shortest path from src (vertex weight deg - 1).  It has two
 callers.  The component pass, once per graph, walks each component from its
 first maximum-degree vertex, where the search starts (see
-solver._search_order), and keeps the walks, depths and f; it answers
+solver._search_plan), and keeps the walks, depths and f; it answers
 connectivity, bipartiteness and triangle-freeness.  The sweep gives
 diameter() and heaviest_shortest_path().  A regular graph reads W off its
 degree (see _regular_sweep) and its largest eccentricity off the component

@@ -1,12 +1,14 @@
 """Exact decision procedure and feasible-set computation.
 
 decide() runs a complete backtracking search over edge colorings.  Edges are
-taken in a static fail-first order (see _search_order): the star of the
+taken in a static fail-first order (see _search_plan): the star of the
 start vertex a, the first maximum-degree vertex, then the edges among a's
 neighbours, whose spectra the star has begun, then the other edges in the
 visit order of the graph's component pass, a BFS from each component's
 first maximum-degree vertex.  So the tightest spectrum constraints engage
-early.  The symmetry cuts below constrain only the star, and the counting
+early.  The order, the star's twin links and the other facts decide() reads
+of a graph form its search plan, built once per Graph object and read by
+every t.  The symmetry cuts below constrain only the star, and the counting
 and coverage cuts hold in any order, so the order leaves every cut sound.
 The search is an explicit-stack loop with no depth limit: each position
 keeps the bitset of its untried candidate colors and takes them lowest
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
@@ -137,11 +140,22 @@ class FeasibleSet:
                 "witnesses": {str(t): w.to_dict() for t, w in sorted(self.witnesses.items())}}
 
 
-def _search_order(g: Graph) -> list[int]:
-    """Edge indices in search order: the first star, then the edges inside
-    its neighbourhood, fail first, then every other edge in the component
-    pass's visit order.
+# What decide() reads of a graph, the same at every t (see _search_plan): the
+# edge indices in search order, each position's edge (u, v), the star's twin
+# links, how many positions can need the reflection cap or a twin link, and
+# the degrees at edge ends, each of which gets one window table per t
+SearchPlan = namedtuple("SearchPlan", "order ends twin early degrees")
 
+
+def _search_plan(g: Graph) -> SearchPlan:
+    """Build the search plan of a graph and keep it on the Graph object, as
+    functools.cached_property keeps its sweep: the first decide() of a Graph
+    builds it, and every later one reads the kept plan, since it depends
+    only on the graph and _plan decides many t of one graph.  decide() keeps
+    its signature, so callers that wrap it still see every search.
+
+    The order: the first star, then the edges inside its neighbourhood,
+    fail first, then every other edge in the component pass's visit order.
     The start vertex a is the root of the component pass's first walk (see
     Graph._components), and its edges, far endpoints ascending, fill the
     first deg(a) positions.  The edges with both ends in N(a) come next,
@@ -164,11 +178,15 @@ def _search_order(g: Graph) -> list[int]:
     compare exactly as floats: p/d is correctly rounded, and two distinct
     fractions with denominators at most MAX_VERTEX_COUNT (10**6) differ by at
     least 1e-12, far above the rounding error.  Ties go to the lower vertex
-    number, which is the visit order on N(a): the star lists it ascending."""
+    number, which is the visit order on N(a): the star lists it ascending.
+
+    The twin links, for the twin order: entry p is the latest earlier star
+    position whose far endpoint is a twin of position p's (see
+    graphs.first_twins), or -1; trailing -1 entries are dropped."""
     added = [False] * g.edge_count
     walks = g._components[0]
-    if not walks:
-        return []
+    if not walks:  # no vertex
+        return SearchPlan((), (), (), 0, frozenset())
     adjacency, incident, deg = g.adjacency, g.incident_edges, g.degrees
     a = walks[0][0]
     star = adjacency[a]
@@ -200,17 +218,6 @@ def _search_order(g: Graph) -> list[int]:
                 if not added[e]:
                     added[e] = True
                     order.append(e)
-    return order
-
-
-def _twin_links(g: Graph) -> list[int]:
-    """Twin order on the first star of _search_order: the edges at its start
-    vertex a (the root of the component pass's first walk), which fill the
-    first deg(a) positions with their far endpoints in ascending order, as in
-    g.adjacency[a].  Entry p is the latest earlier position whose far
-    endpoint is a twin of position p's (see graphs.first_twins), or -1;
-    trailing -1 entries are dropped."""
-    star = g.adjacency[g._components[0][0][0]]
     last: dict[int, int] = {}  # first vertex of a twin class -> latest position
     links: list[int] = []
     for p, first in enumerate(first_twins(g, star)):
@@ -218,18 +225,14 @@ def _twin_links(g: Graph) -> list[int]:
         last[first] = p
     while links and links[-1] < 0:
         links.pop()
-    return links
-
-
-def _search_plan(g: Graph) -> tuple[list[int], list[int]]:
-    """_search_order(g) and _twin_links(g), built on the first decide() of a
-    Graph object and kept on it, as functools.cached_property keeps its
-    sweep: both depend only on the graph, and _plan decides many t of one
-    graph.  decide() keeps its signature, so callers that wrap it still see
-    every search."""
-    plan = vars(g).get("_search_plan")
-    if plan is None:
-        plan = vars(g)["_search_plan"] = (_search_order(g), _twin_links(g))
+    # only the first `early` positions can need the reflection cap or a twin
+    # link, so later pushes test neither.  The cap binds while color 1 is the
+    # only color used; past position 1 (a's second star edge, which cannot
+    # take color 1) that needs a start vertex of degree 1.
+    early = max(len(links), 2) if len(star) >= 2 else g.edge_count
+    plan = vars(g)["_search_plan"] = SearchPlan(
+        tuple(order), tuple(map(g.edges.__getitem__, order)), tuple(links), early,
+        frozenset(deg) - {0})
     return plan
 
 
@@ -323,22 +326,17 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     m = g.edge_count
     if t > m:  # fewer edges than colors: nothing can be surjective
         return SolveOutcome(INFEASIBLE, t, None, 0, time.perf_counter() - start)
-    order, twin = _search_plan(g)
+    order, ends, twin, early, degrees = vars(g).get("_search_plan") or _search_plan(g)
     deg = g.degrees
-    # only the first `early` positions can need the reflection cap or a twin
-    # link, so later pushes test neither.  The cap binds while color 1 is the
-    # only color used; past position 1 (a's second star edge, which cannot
-    # take color 1) that needs a start vertex of degree 1.
-    early = max(len(twin), 2) if max(deg) >= 2 else m
     # a vertex's free colors, allowed() less its spectrum: the per-degree
     # dicts of this process's window table for t, keyed on the spectrum mask
     # and filled on first use.  It is cleared here once over the cap, and no
     # answer depends on its state (see _WINDOWS)
     if sum(map(len, _WINDOWS.values())) > WINDOW_TABLE_CAP:
         _WINDOWS.clear()
-    free = {d: _WINDOWS.setdefault((t, d), {}) for d in set(deg)}
+    free = {d: _WINDOWS.setdefault((t, d), {}) for d in degrees}
     # one tuple per position: its edge's ends and their window dicts
-    slots = [(u, v, free[deg[u]], free[deg[v]]) for u, v in map(g.edges.__getitem__, order)]
+    slots = [(u, v, free[deg[u]], free[deg[v]]) for u, v in ends]
     capped = (1 << ((t + 2) // 2)) - 1  # colors 1..ceil((t+1)/2)
     tight = m - t  # the first k > tight edges must use at least k - tight colors
     gate = 3 * m // 5  # the coverage check runs after placements at earlier positions

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 its elapsed time (run with -s to watch).  All numeric checks are exact; the
-only tolerance anywhere is the node budget on the two searches explicitly
-allowed to time out.
+only tolerance anywhere is that criteria 5 and 7 skip a sweep graph whose
+search ran out of budget.
 """
 
 import time
@@ -45,7 +45,6 @@ from intcyclic.noncolorable import build_certified_kstar, build_certified_tree_h
 from intcyclic.solver import (
     FEASIBLE,
     INFEASIBLE,
-    TIMEOUT,
     certify_noncolorable,
     decide,
     extremal,
@@ -228,26 +227,21 @@ def test_criterion_9_extremal_spot_values():
 
 
 def test_criterion_10_declared_stretch_goals():
-    """The large-width complete-graph witnesses were declared out of desk
-    scale; the searches are attempted under an explicit budget and may time
-    out without failing.  The analytic lower bounds they would witness are
-    asserted exactly."""
+    """The large-width complete-graph witnesses, once declared stretch goals
+    that might time out, are decided at desk scale: K_6 at t = 9 in a few
+    hundred nodes and K_8 at t = 12 in about a third of a million (0.2 s).
+    Both must be feasible, with a witness the validator accepts.  The
+    analytic lower bounds they exceed are asserted exactly."""
     with Timer("10 declared-stretch-goals", 300):
         assert k2n_interval_bound(2) == 4   # matches the known width of K_4
         assert k2n_interval_bound(3) == 7   # interval width of K_6
         assert k2n_interval_bound(4) == 11  # interval width of K_8
-        k6 = make_complete(6)
-        out = decide(k6, 9, node_budget=10_000_000)
-        assert out.decision in (FEASIBLE, TIMEOUT)
-        if out.decision == FEASIBLE:
-            assert validate_cyclic(k6, out.witness).valid
-        print(f"  (K_6 at t=9 stretch search: {out.decision})")
-        k8 = make_complete(8)
-        out = decide(k8, 12, node_budget=10_000_000)
-        assert out.decision in (FEASIBLE, TIMEOUT)
-        if out.decision == FEASIBLE:
-            assert validate_cyclic(k8, out.witness).valid
-        print(f"  (K_8 at t=12 stretch search: {out.decision})")
+        for n, t in ((6, 9), (8, 12)):
+            kn = make_complete(n)
+            out = decide(kn, t, node_budget=10_000_000)
+            assert out.decision == FEASIBLE, (n, t, out.decision)
+            assert validate_cyclic(kn, out.witness).valid
+            print(f"  (K_{n} at t={t}: feasible in {out.nodes_explored} nodes)")
         # interval colorings of wide complete graphs and of hypercubes beyond
         # the widths above stay out of scope; the validating property suites
         # in criteria 1-9 substitute for them

@@ -781,7 +781,8 @@ class TestForestSweep:
 
 
 def check_search_order(g):
-    assert solver._search_order(g) == oracles.fail_first_edge_order(g.vertex_count, g.edges)
+    assert list(solver._search_plan(g).order) == \
+        oracles.fail_first_edge_order(g.vertex_count, g.edges)
 
 
 @st.composite
@@ -832,7 +833,8 @@ class TestSearchOrder:
     def test_triangle_free_keeps_the_bfs_order(self, g):
         # N(a) is independent, so nothing moves ahead of the visit order
         assert not oracles.has_triangle(g.vertex_count, g.edges)
-        assert solver._search_order(g) == oracles.bfs_edge_order(g.vertex_count, g.edges)
+        assert list(solver._search_plan(g).order) == \
+            oracles.bfs_edge_order(g.vertex_count, g.edges)
 
     @pytest.mark.parametrize("g", [
         Graph(5, ((0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))),
@@ -859,8 +861,7 @@ class TestSearchOrder:
         g = Graph(9, ((0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7)))
         g._components
         walks = count_walks(monkeypatch)
-        solver._search_order(g)
-        solver._twin_links(g)
+        solver._search_plan(g)
         assert walks == []
 
 
@@ -887,7 +888,7 @@ class TestTwins:
         n, edges = g.vertex_count, g.edges
         assert graphs._sweep_sources(g) == oracles.sweep_sources_by_keys(n, edges)
         if n:
-            assert solver._twin_links(g) == oracles.twin_links_by_keys(n, edges)
+            assert list(solver._search_plan(g).twin) == oracles.twin_links_by_keys(n, edges)
 
     def test_atlas(self, atlas):
         for g in atlas:

@@ -1,5 +1,7 @@
 import concurrent.futures
 import functools
+import hashlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -29,7 +31,7 @@ from intcyclic import (
 )
 from intcyclic.bounds import matching_floor, parity_obstruction
 from intcyclic.coloring import _cyclic_cover_len, mod_color
-from intcyclic.graphs import all_trees_up_to, is_connected
+from intcyclic.graphs import all_trees_up_to, canonical_json, is_connected
 from intcyclic.noncolorable import Certificate
 from intcyclic.solver import (
     FEASIBLE,
@@ -291,6 +293,15 @@ class TestWindowTable:
         decide(small, 3)  # starts from an empty table
         assert solver._WINDOWS == alone
 
+    def test_no_table_for_a_degree_without_edges(self):
+        # a triangle and two isolated vertices: tables for degree 2 only
+        g = Graph(5, ((0, 1), (0, 2), (1, 2)))
+        solver._WINDOWS.clear()
+        for t in (1, 2, 3):
+            decide(g, t)
+        assert sorted(solver._WINDOWS) == [(1, 2), (2, 2), (3, 2)]
+        assert solver._search_plan(g).degrees == {2}
+
 
 def check_against_reference(g, budget):
     """Every t of the feasible set against the kernel without the twin cut
@@ -354,7 +365,7 @@ class TestTwinOrder:
         (Graph(5, ((0, 2), (1, 2), (2, 3), (2, 4), (3, 4))), [-1, 0, -1, 2]),
     ], ids=["K5", "K1-2-3", "K1-4", "C4", "C5", "Q3", "G4-4", "hub-2"])
     def test_links(self, g, links):
-        assert solver._twin_links(g) == links
+        assert list(solver._search_plan(g).twin) == links
 
     @pytest.mark.parametrize("g", [make_complete_tripartite(3, 1, 2), make_gdn(4, 4),
                                    Graph(5, ((0, 2), (1, 2), (2, 3), (2, 4), (3, 4)))],
@@ -362,7 +373,7 @@ class TestTwinOrder:
     def test_star_fills_the_first_positions(self, g):
         # the links index search positions by a's neighbours in adjacency order
         a = g.degrees.index(max(g.degrees))
-        order = solver._search_order(g)
+        order = solver._search_plan(g).order
         far = [sum(g.edges[e]) - a for e in order[:g.degrees[a]]]
         assert a in g.edges[order[0]] and far == list(g.adjacency[a])
 
@@ -372,7 +383,7 @@ class TestTwinOrder:
         # no twin links, so only the coverage cut can save a node against the
         # reference; the reflection cap binds on several of these.  Coverage
         # saves some (C5 at t = 4, Q3 at t = 7 to 9), and never a witness
-        assert solver._twin_links(g) == []
+        assert solver._search_plan(g).twin == ()
         order = oracles.fail_first_edge_order(g.vertex_count, g.edges)
         lo, hi = solver.search_range(g)
         for t in range(lo, hi + 1):
@@ -409,15 +420,16 @@ class TestTwinOrder:
 
     @given(hubs_with_planted_twins())
     def test_planted_twins_agree_with_reference(self, g):
-        assert solver._twin_links(g)
+        assert solver._search_plan(g).twin
         check_against_reference(g, 3_000)
 
     def test_reference_check_catches_an_unsound_order(self, monkeypatch):
         # ordering every star edge, twins or not, loses the only witnesses of
         # a hub with a pendant pair and a triangle at t = 4
         g = Graph(5, ((0, 4), (1, 4), (2, 3), (2, 4), (3, 4)))
-        assert solver._twin_links(g) == [-1, 0, -1, 2]
-        monkeypatch.setattr(solver, "_twin_links", lambda g: [-1, 0, 1, 2])
+        plan = solver._search_plan(g)
+        assert plan.twin == (-1, 0, -1, 2)
+        monkeypatch.setitem(vars(g), "_search_plan", plan._replace(twin=(-1, 0, 1, 2)))
         assert decide(g, 4).decision == INFEASIBLE
         with pytest.raises(AssertionError):
             check_against_reference(g, 10_000)
@@ -438,6 +450,47 @@ def test_coverage_cut_agrees_with_reference(g):
     # the reference has no coverage cut: a cut that removed a witness or
     # added a node shows here
     check_against_reference(g, 3_000)
+
+
+def frozen_output_corpus():
+    """The acceptance sweep's families with K_{2,2,3}, every tree on 2-8
+    vertices, and 200 seeded random connected graphs on 5-7 vertices: a
+    random tree plus a uniform share of the other pairs, so dense graphs
+    that time out at a 20k budget are among them.  Listed here rather than
+    read from the acceptance suite, so that growing the sweep moves no
+    digest."""
+    graphs = [make_cycle(n) for n in range(3, 13)] + [make_path(m) for m in range(3, 9)]
+    graphs += all_trees_up_to(8, min_vertices=2)
+    graphs += [make_hypercube(2), make_hypercube(3)] + [make_complete(n) for n in range(2, 7)]
+    graphs += [make_complete_tripartite(*parts)
+               for parts in ((1, 1, 3), (1, 2, 3), (2, 2, 2), (1, 1, 5), (2, 2, 3))]
+    graphs += [make_complete_bipartite(a, b) for a, b in ((2, 2), (2, 3), (2, 4), (3, 3))]
+    graphs += [make_complete_bipartite(1, n) for n in range(2, 7)]
+    graphs += [make_gdn(d, n) for d, n in ((3, 4), (3, 5), (4, 3), (4, 4), (2, 6))]
+    graphs += [make_kstar(1, 1), make_kstar(1, 2)]
+    rng = random.Random(2027)
+    for _ in range(200):
+        n = rng.randint(5, 7)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+        edges.update(rng.sample(pairs, rng.randint(0, len(pairs))))
+        graphs.append(Graph(n, tuple(sorted(edges))))
+    return graphs
+
+
+def test_feasible_set_bytes_are_frozen():
+    # the sha256 prefix of every feasible set's bytes, witnesses included,
+    # with its node and timeout totals: a change meant to keep every output
+    # moves none of them.  Unlike the atlas agreement test, it needs no
+    # networkx
+    digest = hashlib.sha256()
+    nodes = timeouts = 0
+    for g in frozen_output_corpus():
+        fs = feasible_set(g, node_budget=20_000)
+        digest.update(canonical_json(fs.to_dict()).encode())
+        nodes += fs.nodes_explored
+        timeouts += len(fs.timed_out)
+    assert (nodes, timeouts, digest.hexdigest()[:16]) == (1_073_498, 24, "0fc0413afc2e4162")
 
 
 @st.composite
@@ -621,22 +674,21 @@ class TestFeasibleSet:
         assert written == [g] and fs.graph_digest == g.digest()
 
     def test_search_order_built_once_per_graph(self, monkeypatch):
+        # the plan reads the start vertex's twins once per build
         built = []
-        for name in ("_search_order", "_twin_links"):
-            real = getattr(solver, name)
-            monkeypatch.setattr(solver, name,
-                                lambda g, real=real, name=name: built.append(name) or real(g))
+        real = solver.first_twins
+        monkeypatch.setattr(solver, "first_twins", lambda *args: built.append(args) or real(*args))
         g = make_hypercube(3)
         fs = feasible_set(g, node_budget=200_000)
         searched = [rec for rec in fs.decisions if rec.source == "search"]
         assert len(searched) > 1 and fs.members
-        assert sorted(built) == ["_search_order", "_twin_links"]
+        assert len(built) == 1
         # the same records and witnesses as deciding each t on a new object
         for rec in searched:
             out = decide(Graph(g.vertex_count, g.edges), rec.t, node_budget=200_000)
             assert (out.decision, out.nodes_explored) == (rec.decision, rec.nodes_explored)
             assert out.witness == fs.witnesses.get(rec.t)
-        assert len(built) == 2 * (1 + len(searched))
+        assert len(built) == 1 + len(searched)
 
     def test_t_hi_caps_range(self):
         fs = feasible_set(make_cycle(6), t_hi=3)
