@@ -1,5 +1,6 @@
 """Closed-form upper bounds, the parity obstruction, the matching-capacity
-floor, and exact feasible-set formulas for cycles and trees.
+floor, the degree-sum obstruction, and exact feasible-set formulas for cycles
+and trees.
 
 The upper bounds form one table of (name, premises, value).  Premises are
 read from the graph's cached metrics, and a value is computed only when
@@ -15,7 +16,8 @@ from the cached all-sources sweep that also gives the diameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .graphs import Graph, GraphError, GraphMetrics, heaviest_shortest_path, is_tree, metrics
@@ -47,6 +49,19 @@ class ParityObstruction:
 
     def excludes(self, t: int) -> bool:
         return self.excludes_even and t % 2 == 0
+
+
+@dataclass(frozen=True)
+class DegreeSumObstruction:
+    """The color counts t that no choice of signs fits (see
+    degree_sum_obstruction): excludes(t) holds when no set of vertices has
+    a degree sum congruent to |E| mod t."""
+    edge_count: int
+    # sums[s] == "1" when some set of vertices has degree sum s, 0 <= s <= 2|E|
+    sums: str = field(repr=False)
+
+    def excludes(self, t: int) -> bool:
+        return "1" not in self.sums[self.edge_count % t::t]
 
 
 @dataclass(frozen=True)
@@ -130,6 +145,49 @@ def parity_obstruction(g: Graph) -> ParityObstruction:
     """Eulerian graphs with an odd edge count admit no coloring with an even
     number of colors."""
     return ParityObstruction(metrics(g).is_eulerian and g.edge_count % 2 == 1)
+
+
+def degree_sum_obstruction(g: Graph) -> DegreeSumObstruction:
+    """A signed degree-sum condition on every cyclic t-coloring.
+
+    Theorem.  If G has a cyclic t-coloring, there are signs e_v in {+1, -1},
+    one per vertex of positive degree, with sum e_v d(v) = 0 (mod 2t).
+
+    Proof.  The colors at v form an arc A_v = [s_v, s_v + d(v)) of Z_t.
+    Color c lies in exactly 2|E_c| arcs, two per edge of color c, so the
+    arc count f(c) is even for every c.  f(c) - f(c-1) is the number of
+    arcs that start at c less the number whose end s_v + d(v) is c, so the
+    chords {s_v, s_v + d(v)} of Z_t meet every point an even number of times
+    and split into closed trails.  Orient each trail; set e_v = +1 where
+    chord v is walked from s_v to s_v + d(v), and -1 otherwise.  Lift a
+    trail T to the integers: its signed length is k_T * t, and its arcs cover
+    every color k_T times mod 2.  So sum k_T = f(c) = 0 (mod 2), and
+    sum e_v d(v) = t * sum k_T = 0 (mod 2t).  QED.  It needs neither
+    connectivity nor surjectivity.
+
+    With S the vertices of sign -1, sum e_v d(v) = 2|E| - 2 * sum_S d(v), so
+    the condition reads: some set S has a degree sum congruent to |E| mod t.
+    The sums over S are the subset sums of the degrees, at most 2|E|; they
+    are found once per graph, grouped by degree: k vertices of degree d add
+    0, d, ..., k*d, split into parts d, 2d, 4d, ... and a remainder (bounded
+    knapsack), so a degree costs O(log k) shifts of a (2|E|+1)-bit integer.
+    excludes(t) then reads the sums congruent to |E| mod t, about 2|E|/t of
+    them, as one strided slice.
+
+    Two rules are special cases.  Parity: when every degree is even, every
+    sum over S is even, so an odd |E| excludes every even t.  The degree-gcd
+    rule: with D the gcd of the degrees and k = gcd(t, D), every sum over S
+    is 0 mod k, so t is excluded when k does not divide |E|.  K_5 (degrees
+    4, |E| = 10) loses t = 7, 8 and 9 this way."""
+    reach = 1  # bit s: some set of vertices has degree sum s
+    for d, k in Counter(g.degrees).items():
+        part = 1
+        while k:  # degree 0 adds nothing
+            step = min(part, k)
+            reach |= reach << step * d
+            k -= step
+            part <<= 1
+    return DegreeSumObstruction(g.edge_count, format(reach, "b")[::-1])
 
 
 def matching_floor(g: Graph) -> int:

@@ -32,11 +32,13 @@ bit-identical run to run.
 feasible_set() and certify_noncolorable() settle the color counts of the
 bounded range through one planner, _plan().  Each count has one record, a
 SolveOutcome.  A count that a theorem excludes is recorded as infeasible with
-0 nodes and never searched: source "parity" for an even t of an Eulerian
-graph with an odd edge count, source "matching" for a t below
-bounds.matching_floor, where |E| > t * floor(|V|/2).  Every other count is
-decided by decide(), and its record is the outcome decide() returned, with
-source "search", its node count and its wall time.  A FeasibleSet holds the
+0 nodes and never searched, under the first source that applies: "parity"
+for an even t of an Eulerian graph with an odd edge count, "matching" for a
+t below bounds.matching_floor, where |E| > t * floor(|V|/2), and
+"degree-sum" for a t where no set of vertices has a degree sum congruent to
+|E| mod t (bounds.degree_sum_obstruction).  Every other count is decided by
+decide(), and its record is the outcome decide() returned, with source
+"search", its node count and its wall time.  A FeasibleSet holds the
 records of one graph; extremal() returns it, read for w_c and W_c, its least
 and greatest members.
 """
@@ -49,6 +51,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
+from itertools import tee
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import bounds as bounds_mod
@@ -65,6 +68,7 @@ TIMEOUT = "timeout"
 SEARCH = "search"  # sources of a per-t decision
 PARITY = "parity"
 MATCHING = "matching"
+DEGREE_SUM = "degree-sum"
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,17 @@ class SolveOutcome:
     "parity": an Eulerian graph with an odd edge count admits no even t.
     Source "matching": each color class is a matching of at most
     floor(|V|/2) edges, so |E| > t * floor(|V|/2) excludes t; K_5 (10 edges,
-    2 per class) is excluded at t = 4."""
+    2 per class) is excluded at t = 4.  Source "degree-sum": the colors at
+    each vertex form an arc of Z_t, and a coloring gives signs e_v with
+    sum e_v d(v) = 0 (mod 2t) (bounds.degree_sum_obstruction); K_5 is
+    excluded at t = 7, 8 and 9."""
     decision: str  # feasible | infeasible | timeout
     t: int
     witness: Optional[EdgeColoring] = field(compare=False)
     nodes_explored: int
     # wall seconds; kept out of to_dict() so output is byte-stable
     elapsed: float = field(default=0.0, compare=False)
-    source: str = SEARCH  # search | parity | matching
+    source: str = SEARCH  # search | parity | matching | degree-sum
 
     def to_dict(self) -> dict:
         return {"t": self.t, "decision": self.decision, "source": self.source,
@@ -462,20 +469,29 @@ def _map_tasks(fn: Callable, tasks: Iterable, jobs: int) -> Iterator:
 def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
           ) -> Iterator[SolveOutcome]:
     """Settle each t in [lo, hi] in ascending order, yielding its record,
-    which carries its witness when feasible.  A t that parity excludes, or that
-    lies below bounds.matching_floor (matching capacity), is infeasible with
-    no search; every other t goes to decide(), through _map_tasks, and its
-    record is the outcome decide() returned."""
+    which carries its witness when feasible.  A t that a theorem excludes is
+    infeasible with no search, under the first of parity, matching capacity
+    (t below bounds.matching_floor) and the degree-sum obstruction that
+    applies; every other t goes to decide(), through _map_tasks, and its
+    record is the outcome decide() returned.  Each t is tested when its
+    record is asked for (with one worker), so certify_noncolorable, which
+    stops at its first witness, tests no t beyond it."""
     parity = bounds_mod.parity_obstruction(g)
     floor = bounds_mod.matching_floor(g)
-    ts = range(lo, hi + 1)
-    theorem = {t: PARITY if parity.excludes(t) else MATCHING for t in ts
-               if parity.excludes(t) or t < floor}
-    searched = [t for t in ts if t not in theorem]
-    outcomes = _map_tasks(partial(decide, g, node_budget=node_budget), searched, jobs)
-    for t in ts:
-        yield (SolveOutcome(INFEASIBLE, t, None, 0, source=theorem[t]) if t in theorem
-               else next(outcomes))
+    degree_sum = bounds_mod.degree_sum_obstruction(g)
+
+    def theorem(t: int) -> Optional[str]:
+        if parity.excludes(t):
+            return PARITY
+        if t < floor:
+            return MATCHING
+        return DEGREE_SUM if degree_sum.excludes(t) else None
+
+    settled, pending = tee((t, theorem(t)) for t in range(lo, hi + 1))
+    outcomes = _map_tasks(partial(decide, g, node_budget=node_budget),
+                          (t for t, source in pending if source is None), jobs)
+    for t, source in settled:
+        yield SolveOutcome(INFEASIBLE, t, None, 0, source=source) if source else next(outcomes)
 
 
 def feasible_set(g: Graph, t_hi: Optional[int] = None,
@@ -512,9 +528,10 @@ def certify_noncolorable(g: Graph, node_budget: Optional[int] = None
     timed_out = any(tr["decision"] == TIMEOUT for tr in transcripts)
     premises = (
         nc.Premise("searched-range", hi - lo + 1 if hi >= lo else 0,
-                   f"all t in [{lo}, {hi}] decided by search, parity or matching "
-                   "capacity; smaller t fail vertex-degree properness, larger t "
-                   "exceed the best applicable upper bound",
+                   f"all t in [{lo}, {hi}] decided by search, parity, matching "
+                   "capacity or the degree-sum obstruction; smaller t fail "
+                   "vertex-degree properness, larger t exceed the best applicable "
+                   "upper bound",
                    not timed_out),
     )
     return nc.Certificate(

@@ -18,13 +18,16 @@ kstar_by_pairs is the kstar recognizer as it stood before it counted edges:
 it tests every pair of the would-be clique for adjacency.
 reference_validate states the coloring validator's report independently
 of coloring.py, as ValidationResult.to_dict() writes it: the reference for
-any shortcut the validator may take.
+any shortcut the validator may take.  signs_fit states the degree-sum
+theorem as written, by trying every choice of signs, and gcd_rule_excludes
+the degree-gcd rule it contains.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 
 INF = float("inf")
 
@@ -153,6 +156,23 @@ def naive_decide(n, edges, t):
         if naive_is_cyclic_coloring(n, edges, incident, t, colors):
             return True
     return False
+
+
+def signs_fit(degrees, t):
+    """True iff some signs e_v in {+1, -1}, one per positive degree, give
+    sum e_v d(v) = 0 (mod 2t); tries all 2^k sign vectors."""
+    ds = [d for d in degrees if d]
+    return any(sum(e * d for e, d in zip(signs, ds)) % (2 * t) == 0
+               for signs in product((1, -1), repeat=len(ds)))
+
+
+def gcd_rule_excludes(degrees, edge_count, t):
+    """The degree-gcd rule: with D the gcd of the degrees, t is excluded when
+    gcd(t, D) does not divide the edge count."""
+    D = 0
+    for d in degrees:
+        D = gcd(D, d)
+    return edge_count % gcd(t, D) != 0
 
 
 def lp_by_degree_sum(n, edges, u, v):

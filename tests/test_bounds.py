@@ -1,4 +1,8 @@
+from collections import Counter
+from itertools import combinations
+
 import pytest
+from hypothesis import given, strategies as st
 
 from intcyclic import (
     Graph,
@@ -13,11 +17,13 @@ from intcyclic import (
     metrics,
 )
 from intcyclic.bounds import (
+    DegreeSumObstruction,
     bound_bipartite_diam,
     bound_general,
     bound_shortest_paths,
     bound_triangle_free,
     cycle_feasible_set,
+    degree_sum_obstruction,
     k2n_interval_bound,
     matching_floor,
     parity_obstruction,
@@ -91,8 +97,9 @@ class TestUpperBounds:
 def test_atlas_bounds_are_sound(atlas):
     """Every connected graph on 2-6 vertices, every t in [1, |E|] decided by
     search with no bound consulted: the largest usable t is within every
-    applicable bound, parity excludes no usable t, and the search agrees
-    with full enumeration where t^|E| is small."""
+    applicable bound, neither parity nor the degree-sum obstruction excludes
+    a usable t, and the search agrees with full enumeration where t^|E| is
+    small."""
     from intcyclic.solver import FEASIBLE, TIMEOUT, decide
     graphs_checked = 0
     for g in atlas:
@@ -107,6 +114,8 @@ def test_atlas_bounds_are_sound(atlas):
                 assert max(usable) <= entry.value, (g.edges, entry.name)
         parity = parity_obstruction(g)
         assert not any(parity.excludes(t) for t in usable), g.edges
+        degree_sum = degree_sum_obstruction(g)
+        assert not any(degree_sum.excludes(t) for t in usable), g.edges
         for t, d in outcomes.items():
             if t ** g.edge_count <= 1000:
                 assert (d == FEASIBLE) == oracles.naive_decide(g.vertex_count, g.edges, t)
@@ -130,6 +139,157 @@ class TestParity:
 
     def test_non_eulerian_excludes_nothing(self):
         assert not parity_obstruction(make_path(4)).excludes_even
+
+
+def all_graphs_up_to(max_vertices):
+    """Every labelled graph on 1..max_vertices vertices, disconnected ones
+    and those with isolated vertices included."""
+    for n in range(1, max_vertices + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+
+
+@st.composite
+def any_graphs(draw, max_vertices=9):
+    """Any graph on 1..max_vertices vertices, disconnected ones and isolated
+    vertices included."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, tuple(sorted(draw(st.sets(st.sampled_from(pairs))) if pairs else ())))
+
+
+def circulant(n, steps):
+    return Graph(n, tuple(sorted({tuple(sorted((v, (v + s) % n)))
+                                  for v in range(n) for s in steps})))
+
+
+class TestDegreeSum:
+    @pytest.mark.parametrize("n,excluded", [
+        (5, [4, 7, 8, 9]),
+        (7, [6, 8, 10, 11, 12, 13, 14]),
+        (9, [8, 11, 13, 15, 16, 17, 19, 21]),
+    ])
+    def test_complete_graphs(self, n, excluded):
+        # K_n has n(n-1)/2 edges and every degree n-1; range [n-1, 3n-6]
+        ob = degree_sum_obstruction(make_complete(n))
+        assert [t for t in range(n - 1, 3 * n - 5) if ob.excludes(t)] == excluded
+
+    def test_sums_of_a_degree_class(self):
+        # five vertices of degree 4: the sums 0, 4, ..., 20; an isolated
+        # vertex adds none
+        k5 = make_complete(5)
+        ob = degree_sum_obstruction(k5)
+        assert ob == DegreeSumObstruction(10, "1000" * 5 + "1")
+        assert degree_sum_obstruction(Graph(6, k5.edges)) == ob
+
+    def test_edgeless_and_one_color(self):
+        assert not degree_sum_obstruction(Graph(3, ())).excludes(1)
+        assert not degree_sum_obstruction(make_path(2)).excludes(1)
+
+    @given(any_graphs())
+    def test_agrees_with_every_choice_of_signs(self, g):
+        ob = degree_sum_obstruction(g)
+        for t in range(1, 2 * g.edge_count + 2):
+            assert ob.excludes(t) == (not oracles.signs_fit(g.degrees, t)), (g.edges, t)
+
+    def test_one_large_degree_class(self):
+        # 20001 vertices of degree 2: the even sums up to 40002, in 15 shifts
+        ob = degree_sum_obstruction(make_cycle(20_001))
+        assert ob.sums == "10" * 20_001 + "1"
+        assert ob.excludes(2) and not ob.excludes(3) and not ob.excludes(20_001)
+        assert ob.excludes(20_000)  # the sums are even and 20001 + 20000j is odd
+
+    # soundness: no usable t is excluded, on graphs whose usable t are known
+    def test_cycles_keep_every_member(self):
+        for n in range(3, 60):
+            ob = degree_sum_obstruction(make_cycle(n))
+            assert not any(ob.excludes(t) for t in cycle_feasible_set(n)), n
+
+    def test_trees_keep_every_member(self):
+        trees = list(all_trees_up_to(9, min_vertices=2))
+        assert len(trees) == 94
+        for tree in trees:
+            ob = degree_sum_obstruction(tree)
+            assert not any(ob.excludes(t) for t in tree_feasible_set(tree)), tree.edges
+
+    def test_constructions_keep_their_t(self):
+        # every construction's own t, and each fold of an interval one
+        from intcyclic import constructions, validate_cyclic
+        params = {
+            "gdn": [(d, n) for d in range(2, 6) for n in range(3, 9)],
+            "complete-odd": [(n,) for n in range(1, 7)],
+            "bipartite-cyclic": [(m, n) for m in range(2, 7) for n in range(2, 7)],
+            "bipartite-interval": [(m, n) for m in range(1, 7) for n in range(1, 7)],
+            "tripartite": [(k, l, m) for k in range(1, 5) for l in range(k, 5)
+                           for m in range(l, 5)],
+            "hypercube-cyclic": [(n,) for n in range(2, 7)],
+            "hypercube-interval": [(n,) for n in range(2, 8)],
+        }
+        assert params.keys() == constructions.FAMILIES.keys()
+        for family, rows in params.items():
+            build = constructions.FAMILIES[family][1]
+            for p in rows:
+                g, col, *_ = build(*p)
+                ob = degree_sum_obstruction(g)
+                assert not ob.excludes(col.t), (family, p)
+                if family not in constructions._INTERVAL_FAMILIES:
+                    continue
+                for t in range(g.max_degree(), col.t):
+                    assert validate_cyclic(g, constructions.mod_reduce(g, col, t)).valid
+                    assert not ob.excludes(t), (family, p, t)
+
+    def test_small_graphs_keep_every_witnessed_t(self):
+        # every labelled graph on up to 5 vertices, disconnected ones and
+        # isolated vertices included, decided by a search that ignores the rule
+        from intcyclic.solver import FEASIBLE, decide
+        witnessed = 0
+        for g in all_graphs_up_to(5):
+            ob = degree_sum_obstruction(g)
+            for t in range(max(1, g.max_degree()), g.edge_count + 1):
+                if decide(g, t).decision == FEASIBLE:
+                    witnessed += 1
+                    assert not ob.excludes(t), (g.vertex_count, g.edges, t)
+        assert witnessed > 1000
+
+    @given(any_graphs(max_vertices=6))
+    def test_a_witness_passes_the_rule(self, g):
+        from intcyclic.solver import FEASIBLE, decide
+        ob = degree_sum_obstruction(g)
+        for t in range(max(1, g.max_degree()), g.edge_count + 1):
+            if decide(g, t, node_budget=2_000).decision == FEASIBLE:
+                assert not ob.excludes(t), (g.vertex_count, g.edges, t)
+
+    # the rule contains parity and the degree-gcd rule
+    @staticmethod
+    def check_contains_parity_and_gcd_rule(graphs):
+        counts = Counter()
+        for g in graphs:
+            ob, parity = degree_sum_obstruction(g), parity_obstruction(g)
+            for t in range(1, g.edge_count + 2):
+                by_gcd = oracles.gcd_rule_excludes(g.degrees, g.edge_count, t)
+                counts.update(parity=parity.excludes(t), gcd=by_gcd,
+                              rule=ob.excludes(t))
+                if parity.excludes(t) or by_gcd:
+                    assert ob.excludes(t), (g.vertex_count, g.edges, t)
+        return counts
+
+    def test_contains_parity_and_gcd_rule(self):
+        # K_5 is 4-regular with 10 = 2 (mod 4) edges: the gcd rule takes
+        # every t = 0 (mod 4); odd circulants C_n(1, 2) are the same
+        graphs = list(all_graphs_up_to(5)) + [make_complete(n) for n in range(6, 13)]
+        graphs += [make_hypercube(n) for n in range(1, 6)]
+        graphs += [make_cycle(n) for n in range(6, 16)]
+        graphs += [circulant(n, (1, 2)) for n in range(5, 16, 2)]
+        counts = self.check_contains_parity_and_gcd_rule(graphs)
+        assert counts["parity"] > 100 and counts["gcd"] > counts["parity"]
+        assert counts["rule"] > counts["gcd"]
+        k5 = make_complete(5)
+        assert degree_sum_obstruction(k5).excludes(8) and not parity_obstruction(k5).excludes(8)
+
+    def test_contains_parity_and_gcd_rule_on_atlas(self, atlas):
+        counts = self.check_contains_parity_and_gcd_rule(atlas)
+        assert counts["rule"] > counts["gcd"] > counts["parity"] > 0
 
 
 class TestCycleFormula:

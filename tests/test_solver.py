@@ -29,7 +29,7 @@ from intcyclic import (
     solver,
     validate_cyclic,
 )
-from intcyclic.bounds import matching_floor, parity_obstruction
+from intcyclic.bounds import degree_sum_obstruction, matching_floor, parity_obstruction
 from intcyclic.coloring import _cyclic_cover_len, mod_color
 from intcyclic.graphs import all_trees_up_to, canonical_json, is_connected
 from intcyclic.noncolorable import Certificate
@@ -490,7 +490,7 @@ def test_feasible_set_bytes_are_frozen():
         digest.update(canonical_json(fs.to_dict()).encode())
         nodes += fs.nodes_explored
         timeouts += len(fs.timed_out)
-    assert (nodes, timeouts, digest.hexdigest()[:16]) == (1_073_498, 24, "0fc0413afc2e4162")
+    assert (nodes, timeouts, digest.hexdigest()[:16]) == (607_635, 7, "bb780afc4dd65119")
 
 
 @st.composite
@@ -505,7 +505,8 @@ def near_complete_graphs(draw):
 
 class TestMatchingCapacity:
     def test_complete_five(self, monkeypatch):
-        # 10 edges, at most 2 per color class: t = 4 cannot color them all
+        # 10 edges, at most 2 per color class: t = 4 cannot color them all;
+        # the degree-sum obstruction takes t = 7-9
         searched = []
 
         def recording_decide(g, t, node_budget=None):
@@ -515,7 +516,8 @@ class TestMatchingCapacity:
         monkeypatch.setattr(solver, "decide", recording_decide)
         fs = feasible_set(make_complete(5))
         assert fs.decisions[0] == solver.SolveOutcome(INFEASIBLE, 4, None, 0, source="matching")
-        assert searched == list(range(5, fs.t_hi + 1))
+        assert searched == [5, 6] and fs.t_hi == 9
+        assert [d.source for d in fs.decisions[3:]] == ["degree-sum"] * 3
         assert fs.members == (5, 6) and fs.exhausted
 
     def test_parity_is_named_first(self):
@@ -557,6 +559,59 @@ class TestMatchingCapacity:
     @given(near_complete_graphs())
     def test_records_follow_the_floor(self, g):
         self.check_records_follow_the_floor(g)
+
+
+class TestDegreeSumPlanner:
+    def test_complete_nine_scoreboard(self):
+        # K_9 (36 edges, every degree 8): no degree sum is 36 mod t for these
+        # t, so no search runs; t = 16 times out at 2M nodes by search alone
+        fs = feasible_set(make_complete(9), node_budget=1)
+        settled = [d for d in fs.decisions if d.source == "degree-sum"]
+        assert [d.t for d in settled] == [11, 13, 15, 16, 17, 19, 21]
+        assert all((d.decision, d.nodes_explored) == (INFEASIBLE, 0) for d in settled)
+
+    def test_tested_only_when_asked_for(self, monkeypatch):
+        # certify stops at its first witness, t = 3 of C_7 (t = 2 is parity's)
+        tested = []
+        real = solver.bounds_mod.DegreeSumObstruction.excludes
+        monkeypatch.setattr(solver.bounds_mod.DegreeSumObstruction, "excludes",
+                            lambda ob, t: tested.append(t) or real(ob, t))
+        assert isinstance(certify_noncolorable(make_cycle(7)), EdgeColoring)
+        assert tested == [3]
+
+    @staticmethod
+    def check_records_follow_the_rule(g):
+        # the degree-sum records are the t that the rule excludes and that
+        # neither parity nor matching capacity claims first
+        lo, hi = solver.search_range(g)
+        parity, floor = parity_obstruction(g), matching_floor(g)
+        ob = degree_sum_obstruction(g)
+        records = list(solver._plan(g, lo, hi, 1))
+        got = [rec.t for rec in records if rec.source == "degree-sum"]
+        assert got == [t for t in range(lo, hi + 1)
+                       if ob.excludes(t) and not parity.excludes(t) and t >= floor]
+        assert all((rec.decision, rec.nodes_explored) == (INFEASIBLE, 0)
+                   for rec in records if rec.source == "degree-sum")
+        return got
+
+    def test_records_follow_the_rule_on_atlas(self, atlas):
+        assert sum(len(self.check_records_follow_the_rule(g)) for g in atlas) > 100
+
+    @given(near_complete_graphs())
+    def test_records_follow_the_rule(self, g):
+        self.check_records_follow_the_rule(g)
+
+    def test_atlas_nodes_and_settled_t(self, atlas):
+        # every connected graph on 2-7 vertices at a 1M budget: the rule
+        # settles 177 t that the search proved infeasible in 915,018 nodes,
+        # with the same members, witnesses and timeouts as before
+        graphs = [g for g in atlas if g.vertex_count >= 2 and is_connected(g)]
+        assert len(graphs) == 995
+        sets = [feasible_set(g, node_budget=1_000_000) for g in graphs]
+        settled = [d for fs in sets for d in fs.decisions if d.source == "degree-sum"]
+        assert len(settled) == 177
+        assert sum(fs.nodes_explored for fs in sets) == 2_126_466
+        assert sum(len(fs.timed_out) for fs in sets) == 0
 
 
 class TestSymmetries:
@@ -695,7 +750,7 @@ class TestFeasibleSet:
         assert fs.t_hi == 3 and fs.members == (2, 3)
 
     def test_not_exhausted_under_tiny_budget(self):
-        fs = feasible_set(make_complete(7), node_budget=5_000)
+        fs = feasible_set(make_complete(8), node_budget=5_000)
         assert not fs.exhausted
 
     def test_edgeless_graph_has_empty_set(self):
@@ -823,17 +878,20 @@ class TestParityPlanner:
 
         monkeypatch.setattr(solver, "decide", recording_decide)
         fs = feasible_set(make_complete(7), node_budget=20_000)
+        # 21 edges, every degree 6: no degree sum is 21 mod 11 or mod 13
         for d in fs.decisions:
             if d.t % 2 == 0:
                 assert (d.decision, d.source, d.nodes_explored) == (INFEASIBLE, "parity", 0)
+            elif d.t in (11, 13):
+                assert (d.decision, d.source, d.nodes_explored) == (INFEASIBLE, "degree-sum", 0)
             else:
                 assert d.source == "search" and d.nodes_explored > 0
-        assert searched == [t for t in range(fs.t_lo, fs.t_hi + 1) if t % 2]
-        assert fs.members == (7, 9) and fs.timed_out == (11,)
+        assert searched == [7, 9, 15] and fs.t_hi == 15
+        assert fs.members == (7, 9) and fs.timed_out == ()
         assert fs.nodes_explored == sum(d.nodes_explored for d in fs.decisions)
         d = fs.to_dict()
         assert d["decisions"] == [r.to_dict() for r in fs.decisions]
-        assert d["timed_out"] == [11] and not d["exhausted"]
+        assert d["timed_out"] == [] and d["exhausted"]
         assert "elapsed" not in str(d)
 
     def test_same_answers_as_searching_every_t(self, eulerian_odd_corpus):
@@ -891,6 +949,9 @@ class TestCertify:
             if tr["t"] % 2 == 0:
                 assert tr == {"t": tr["t"], "decision": INFEASIBLE, "source": "parity",
                               "nodes_explored": 0}
+            elif tr["t"] in (11, 13):
+                assert tr == {"t": tr["t"], "decision": INFEASIBLE, "source": "degree-sum",
+                              "nodes_explored": 0}
             else:
                 assert (tr["decision"], tr["source"]) == (TIMEOUT, "search")
 
@@ -925,7 +986,7 @@ class TestConjectureScan:
         assert not r.order_bound_applies  # K4 has triangles
 
     def test_skipped_on_timeout(self):
-        report = conjecture_scan([make_complete(7)], node_budget=2_000)
+        report = conjecture_scan([make_complete(8)], node_budget=2_000)
         assert report.records[0].skipped
         assert not report.counterexamples
 
