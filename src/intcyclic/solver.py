@@ -51,7 +51,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import tee
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import bounds as bounds_mod
@@ -473,25 +472,19 @@ def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
     infeasible with no search, under the first of parity, matching capacity
     (t below bounds.matching_floor) and the degree-sum obstruction that
     applies; every other t goes to decide(), through _map_tasks, and its
-    record is the outcome decide() returned.  Each t is tested when its
-    record is asked for (with one worker), so certify_noncolorable, which
-    stops at its first witness, tests no t beyond it."""
+    record is the outcome decide() returned."""
     parity = bounds_mod.parity_obstruction(g)
     floor = bounds_mod.matching_floor(g)
     degree_sum = bounds_mod.degree_sum_obstruction(g)
-
-    def theorem(t: int) -> Optional[str]:
-        if parity.excludes(t):
-            return PARITY
-        if t < floor:
-            return MATCHING
-        return DEGREE_SUM if degree_sum.excludes(t) else None
-
-    settled, pending = tee((t, theorem(t)) for t in range(lo, hi + 1))
-    outcomes = _map_tasks(partial(decide, g, node_budget=node_budget),
-                          (t for t, source in pending if source is None), jobs)
-    for t, source in settled:
-        yield SolveOutcome(INFEASIBLE, t, None, 0, source=source) if source else next(outcomes)
+    ts = range(lo, hi + 1)
+    theorem = {t: source for t in ts if (source := (
+        PARITY if parity.excludes(t) else MATCHING if t < floor
+        else DEGREE_SUM if degree_sum.excludes(t) else None))}
+    searched = [t for t in ts if t not in theorem]
+    outcomes = _map_tasks(partial(decide, g, node_budget=node_budget), searched, jobs)
+    for t in ts:
+        yield (SolveOutcome(INFEASIBLE, t, None, 0, source=theorem[t]) if t in theorem
+               else next(outcomes))
 
 
 def feasible_set(g: Graph, t_hi: Optional[int] = None,

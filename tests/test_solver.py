@@ -570,15 +570,6 @@ class TestDegreeSumPlanner:
         assert [d.t for d in settled] == [11, 13, 15, 16, 17, 19, 21]
         assert all((d.decision, d.nodes_explored) == (INFEASIBLE, 0) for d in settled)
 
-    def test_tested_only_when_asked_for(self, monkeypatch):
-        # certify stops at its first witness, t = 3 of C_7 (t = 2 is parity's)
-        tested = []
-        real = solver.bounds_mod.DegreeSumObstruction.excludes
-        monkeypatch.setattr(solver.bounds_mod.DegreeSumObstruction, "excludes",
-                            lambda ob, t: tested.append(t) or real(ob, t))
-        assert isinstance(certify_noncolorable(make_cycle(7)), EdgeColoring)
-        assert tested == [3]
-
     @staticmethod
     def check_records_follow_the_rule(g):
         # the degree-sum records are the t that the rule excludes and that
