@@ -174,11 +174,19 @@ def degree_sum_obstruction(g: Graph) -> DegreeSumObstruction:
     excludes(t) then reads the sums congruent to |E| mod t, about 2|E|/t of
     them, as one strided slice.
 
-    Two rules are special cases.  Parity: when every degree is even, every
+    Three rules are special cases.  Parity: when every degree is even, every
     sum over S is even, so an odd |E| excludes every even t.  The degree-gcd
     rule: with D the gcd of the degrees and k = gcd(t, D), every sum over S
-    is 0 mod k, so t is excluded when k does not divide |E|.  K_5 (degrees
-    4, |E| = 10) loses t = 7, 8 and 9 this way."""
+    is 0 mod k, so t is excluded when k does not divide |E|; K_5 (degrees
+    4, |E| = 10) loses t = 4 and 8 this way, and t = 7 and 9 only to the
+    full condition.  Matching capacity, for t >= max degree (search_range
+    starts there): let n' be the number of vertices of positive degree.  If
+    |E| > t * floor(|V|/2), which is at least t * floor(n'/2), then since
+    |E| <= t * n' / 2 (no degree is above t), n' is odd and
+    sum (t - d(v)) = t * n' - 2|E| < t over those vertices.  So
+    sum e_v d(v) = t * sum e_v - x with x = sum e_v (t - d(v)), where
+    sum e_v is odd and -t < x < t: the sum is t - x mod 2t, with
+    0 < t - x < 2t, never 0."""
     reach = 1  # bit s: some set of vertices has degree sum s
     for d, k in Counter(g.degrees).items():
         part = 1

@@ -31,16 +31,15 @@ bit-identical run to run.
 
 feasible_set() and certify_noncolorable() settle the color counts of the
 bounded range through one planner, _plan().  Each count has one record, a
-SolveOutcome.  A count that a theorem excludes is recorded as infeasible with
-0 nodes and never searched, under the first source that applies: "parity"
-for an even t of an Eulerian graph with an odd edge count, "matching" for a
-t below bounds.matching_floor, where |E| > t * floor(|V|/2), and
-"degree-sum" for a t where no set of vertices has a degree sum congruent to
-|E| mod t (bounds.degree_sum_obstruction).  Every other count is decided by
-decide(), and its record is the outcome decide() returned, with source
-"search", its node count and its wall time.  A FeasibleSet holds the
-records of one graph; extremal() returns it, read for w_c and W_c, its least
-and greatest members.
+SolveOutcome.  A count that the degree-sum obstruction excludes, where no
+set of vertices has a degree sum congruent to |E| mod t
+(bounds.degree_sum_obstruction), is recorded as infeasible with source
+"degree-sum" and 0 nodes, and never searched; on the bounded range the
+obstruction contains the parity obstruction and matching capacity.  Every
+other count is decided by decide(), and its record is the outcome decide()
+returned, with source "search", its node count and its wall time.  A
+FeasibleSet holds the records of one graph; extremal() returns it, read for
+w_c and W_c, its least and greatest members.
 """
 
 from __future__ import annotations
@@ -65,30 +64,26 @@ INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
 
 SEARCH = "search"  # sources of a per-t decision
-PARITY = "parity"
-MATCHING = "matching"
 DEGREE_SUM = "degree-sum"
 
 
 @dataclass(frozen=True)
 class SolveOutcome:
     """How one color count was settled: by decide() (source "search", with
-    its node count and, when feasible, a validated witness) or by a theorem
-    whose premises were recomputed from the graph, with 0 nodes.  Source
-    "parity": an Eulerian graph with an odd edge count admits no even t.
-    Source "matching": each color class is a matching of at most
-    floor(|V|/2) edges, so |E| > t * floor(|V|/2) excludes t; K_5 (10 edges,
-    2 per class) is excluded at t = 4.  Source "degree-sum": the colors at
-    each vertex form an arc of Z_t, and a coloring gives signs e_v with
-    sum e_v d(v) = 0 (mod 2t) (bounds.degree_sum_obstruction); K_5 is
-    excluded at t = 7, 8 and 9."""
+    its node count and, when feasible, a validated witness) or, with 0
+    nodes, by the degree-sum obstruction (source "degree-sum"), whose
+    premises were recomputed from the graph: the colors at each vertex form
+    an arc of Z_t, and a coloring gives signs e_v with sum e_v d(v) = 0
+    (mod 2t) (bounds.degree_sum_obstruction).  K_5 (every degree 4, 10
+    edges) is excluded at t = 4, where every degree sum is 0 mod 4 and 10
+    is not, and at t = 7, 8 and 9."""
     decision: str  # feasible | infeasible | timeout
     t: int
     witness: Optional[EdgeColoring] = field(compare=False)
     nodes_explored: int
     # wall seconds; kept out of to_dict() so output is byte-stable
     elapsed: float = field(default=0.0, compare=False)
-    source: str = SEARCH  # search | parity | matching | degree-sum
+    source: str = SEARCH  # search | degree-sum
 
     def to_dict(self) -> dict:
         return {"t": self.t, "decision": self.decision, "source": self.source,
@@ -468,22 +463,17 @@ def _map_tasks(fn: Callable, tasks: Iterable, jobs: int) -> Iterator:
 def _plan(g: Graph, lo: int, hi: int, node_budget: Optional[int], jobs: int = 1
           ) -> Iterator[SolveOutcome]:
     """Settle each t in [lo, hi] in ascending order, yielding its record,
-    which carries its witness when feasible.  A t that a theorem excludes is
-    infeasible with no search, under the first of parity, matching capacity
-    (t below bounds.matching_floor) and the degree-sum obstruction that
-    applies; every other t goes to decide(), through _map_tasks, and its
-    record is the outcome decide() returned."""
-    parity = bounds_mod.parity_obstruction(g)
-    floor = bounds_mod.matching_floor(g)
-    degree_sum = bounds_mod.degree_sum_obstruction(g)
+    which carries its witness when feasible.  A t that the degree-sum
+    obstruction excludes is infeasible with no search; every other t goes
+    to decide(), through _map_tasks, and its record is the outcome decide()
+    returned."""
+    excludes = bounds_mod.degree_sum_obstruction(g).excludes
     ts = range(lo, hi + 1)
-    theorem = {t: source for t in ts if (source := (
-        PARITY if parity.excludes(t) else MATCHING if t < floor
-        else DEGREE_SUM if degree_sum.excludes(t) else None))}
-    searched = [t for t in ts if t not in theorem]
+    settled = set(filter(excludes, ts))
+    searched = [t for t in ts if t not in settled]
     outcomes = _map_tasks(partial(decide, g, node_budget=node_budget), searched, jobs)
     for t in ts:
-        yield (SolveOutcome(INFEASIBLE, t, None, 0, source=theorem[t]) if t in theorem
+        yield (SolveOutcome(INFEASIBLE, t, None, 0, source=DEGREE_SUM) if t in settled
                else next(outcomes))
 
 
@@ -521,10 +511,9 @@ def certify_noncolorable(g: Graph, node_budget: Optional[int] = None
     timed_out = any(tr["decision"] == TIMEOUT for tr in transcripts)
     premises = (
         nc.Premise("searched-range", hi - lo + 1 if hi >= lo else 0,
-                   f"all t in [{lo}, {hi}] decided by search, parity, matching "
-                   "capacity or the degree-sum obstruction; smaller t fail "
-                   "vertex-degree properness, larger t exceed the best applicable "
-                   "upper bound",
+                   f"all t in [{lo}, {hi}] decided by search or the degree-sum "
+                   "obstruction; smaller t fail vertex-degree properness, larger t "
+                   "exceed the best applicable upper bound",
                    not timed_out),
     )
     return nc.Certificate(

@@ -260,17 +260,20 @@ class TestDegreeSum:
             if decide(g, t, node_budget=2_000).decision == FEASIBLE:
                 assert not ob.excludes(t), (g.vertex_count, g.edges, t)
 
-    # the rule contains parity and the degree-gcd rule
+    # the rule contains parity, the degree-gcd rule and, from t = max
+    # degree on, matching capacity
     @staticmethod
     def check_contains_parity_and_gcd_rule(graphs):
         counts = Counter()
         for g in graphs:
             ob, parity = degree_sum_obstruction(g), parity_obstruction(g)
+            lo, floor = max(1, g.max_degree()), matching_floor(g)
             for t in range(1, g.edge_count + 2):
                 by_gcd = oracles.gcd_rule_excludes(g.degrees, g.edge_count, t)
+                by_matching = lo <= t < floor
                 counts.update(parity=parity.excludes(t), gcd=by_gcd,
-                              rule=ob.excludes(t))
-                if parity.excludes(t) or by_gcd:
+                              matching=by_matching, rule=ob.excludes(t))
+                if parity.excludes(t) or by_gcd or by_matching:
                     assert ob.excludes(t), (g.vertex_count, g.edges, t)
         return counts
 
@@ -283,13 +286,20 @@ class TestDegreeSum:
         graphs += [circulant(n, (1, 2)) for n in range(5, 16, 2)]
         counts = self.check_contains_parity_and_gcd_rule(graphs)
         assert counts["parity"] > 100 and counts["gcd"] > counts["parity"]
-        assert counts["rule"] > counts["gcd"]
+        assert counts["rule"] > counts["gcd"] and counts["matching"] > 0
         k5 = make_complete(5)
         assert degree_sum_obstruction(k5).excludes(8) and not parity_obstruction(k5).excludes(8)
 
     def test_contains_parity_and_gcd_rule_on_atlas(self, atlas):
         counts = self.check_contains_parity_and_gcd_rule(atlas)
         assert counts["rule"] > counts["gcd"] > counts["parity"] > 0
+        assert counts["matching"] > 0
+
+    @given(any_graphs())
+    def test_contains_parity_gcd_and_matching_rules(self, g):
+        # isolated vertices included: the matching proof counts only the
+        # vertices of positive degree
+        self.check_contains_parity_and_gcd_rule([g])
 
 
 class TestCycleFormula:

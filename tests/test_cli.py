@@ -273,8 +273,8 @@ class TestSolve:
         assert data["members"] == [3, 5] and data["exhausted"]
 
     def test_feasible_set_complete_five(self, tmp_path, capsys):
-        # matching capacity excludes t = 4 (10 edges, at most 2 per color),
-        # the degree-sum obstruction t = 7-9 (no degree sum of 4s is 10 mod t)
+        # the degree-sum obstruction excludes t = 4 and 7-9: no degree sum
+        # of 4s is 10 mod t
         g_path = str(tmp_path / "k5.json")
         run(capsys, "gen", "complete", "5", "-o", g_path)
         code, out1, _ = run(capsys, "solve", "-g", g_path, "--feasible-set")
@@ -283,7 +283,7 @@ class TestSolve:
         assert code == 0 and out1 == out2
         assert data["members"] == [5, 6] and data["range"] == [4, 9]
         assert data["decisions"][0] == {"t": 4, "decision": "infeasible",
-                                        "source": "matching", "nodes_explored": 0}
+                                        "source": "degree-sum", "nodes_explored": 0}
         assert [d["source"] for d in data["decisions"][1:]] == ["search"] * 2 + ["degree-sum"] * 3
         assert all(d["nodes_explored"] == 0 for d in data["decisions"][3:])
 
@@ -317,7 +317,7 @@ class TestSolve:
         code, stdout, _ = run(capsys, "solve", "-g", g_path, "--feasible-set")
         data = json.loads(stdout)
         assert code == 0 and data["members"] == [3, 5] and data["timed_out"] == []
-        assert [d["source"] for d in data["decisions"]] == ["parity", "search"] * 2
+        assert [d["source"] for d in data["decisions"]] == ["degree-sum", "search"] * 2
         code, stdout, err = run(capsys, "solve", "-g", g_path)  # needs --t or --feasible-set
         assert code == EXPECTED_FORMAT_ERROR and stdout == "" and "usage" in err
         code, stdout, _ = run(capsys, "solve", "-g", g_path, "--t", "5")  # no budget left over

@@ -490,7 +490,7 @@ def test_feasible_set_bytes_are_frozen():
         digest.update(canonical_json(fs.to_dict()).encode())
         nodes += fs.nodes_explored
         timeouts += len(fs.timed_out)
-    assert (nodes, timeouts, digest.hexdigest()[:16]) == (607_635, 7, "bb780afc4dd65119")
+    assert (nodes, timeouts, digest.hexdigest()[:16]) == (607_635, 7, "79c5eb5464a6be70")
 
 
 @st.composite
@@ -505,8 +505,9 @@ def near_complete_graphs(draw):
 
 class TestMatchingCapacity:
     def test_complete_five(self, monkeypatch):
-        # 10 edges, at most 2 per color class: t = 4 cannot color them all;
-        # the degree-sum obstruction takes t = 7-9
+        # 10 edges, at most 2 per color class: t = 4 cannot color them all,
+        # and the degree-sum obstruction, which contains that count, takes
+        # t = 4 and 7-9
         searched = []
 
         def recording_decide(g, t, node_budget=None):
@@ -515,43 +516,38 @@ class TestMatchingCapacity:
 
         monkeypatch.setattr(solver, "decide", recording_decide)
         fs = feasible_set(make_complete(5))
-        assert fs.decisions[0] == solver.SolveOutcome(INFEASIBLE, 4, None, 0, source="matching")
+        assert fs.decisions[0] == solver.SolveOutcome(INFEASIBLE, 4, None, 0, source="degree-sum")
         assert searched == [5, 6] and fs.t_hi == 9
         assert [d.source for d in fs.decisions[3:]] == ["degree-sum"] * 3
         assert fs.members == (5, 6) and fs.exhausted
-
-    def test_parity_is_named_first(self):
-        # K_7 at t = 6: parity (Eulerian, 21 edges) and matching (21 > 6 * 3) both apply
-        fs = feasible_set(make_complete(7), node_budget=1)
-        assert fs.decisions[0] == solver.SolveOutcome(INFEASIBLE, 6, None, 0, source="parity")
 
     def test_sound_against_search(self):
         # K_5 minus an edge: 9 > 4 * 2 edges, and an exhaustive search agrees
         g = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)][1:])
         fs = feasible_set(g)
-        assert fs.decisions[0] == solver.SolveOutcome(INFEASIBLE, 4, None, 0, source="matching")
+        assert fs.decisions[0] == solver.SolveOutcome(INFEASIBLE, 4, None, 0, source="degree-sum")
         order = oracles.fail_first_edge_order(5, g.edges)
         assert oracles.reference_decide(5, g.edges, 4, 10**6, order)[0] == INFEASIBLE
 
     def test_in_certificate_transcript(self):
         res = certify_noncolorable(make_complete(5), node_budget=1)
         assert isinstance(res, Certificate) and res.inconclusive
-        assert res.transcripts[0] == {"t": 4, "decision": INFEASIBLE, "source": "matching",
+        assert res.transcripts[0] == {"t": 4, "decision": INFEASIBLE, "source": "degree-sum",
                                       "nodes_explored": 0}
-        assert "matching" in res.premises[0].condition
+        assert "degree-sum obstruction" in res.premises[0].condition
 
     @staticmethod
     def check_records_follow_the_floor(g):
-        # the floor against its definition, then the planner's matching
-        # records against it: every t below it that parity does not claim
-        # first; a budget of 1 node suffices, only the sources are compared
+        # the floor against its definition, then the planner's records
+        # below it: every t in [lo, floor) is a degree-sum record; a budget
+        # of 1 node suffices, only the sources are compared
         floor = matching_floor(g)
         assert floor == next(t for t in count() if g.edge_count <= t * (g.vertex_count // 2))
         lo, hi = solver.search_range(g)
-        parity = parity_obstruction(g)
-        got = [rec.t for rec in solver._plan(g, lo, hi, 1) if rec.source == "matching"]
-        assert got == [t for t in range(lo, hi + 1) if t < floor and not parity.excludes(t)]
-        return got
+        below = [rec for rec in solver._plan(g, lo, hi, 1) if rec.t < floor]
+        assert all(rec == solver.SolveOutcome(INFEASIBLE, rec.t, None, 0, source="degree-sum")
+                   for rec in below)
+        return below
 
     def test_records_follow_the_floor_on_atlas(self, atlas):
         assert any([self.check_records_follow_the_floor(g) for g in atlas])
@@ -564,23 +560,21 @@ class TestMatchingCapacity:
 class TestDegreeSumPlanner:
     def test_complete_nine_scoreboard(self):
         # K_9 (36 edges, every degree 8): no degree sum is 36 mod t for these
-        # t, so no search runs; t = 16 times out at 2M nodes by search alone
+        # t, so no search runs; t = 8 is also past matching capacity (36 >
+        # 8 * 4), and t = 16 times out at 2M nodes by search alone
         fs = feasible_set(make_complete(9), node_budget=1)
         settled = [d for d in fs.decisions if d.source == "degree-sum"]
-        assert [d.t for d in settled] == [11, 13, 15, 16, 17, 19, 21]
+        assert [d.t for d in settled] == [8, 11, 13, 15, 16, 17, 19, 21]
         assert all((d.decision, d.nodes_explored) == (INFEASIBLE, 0) for d in settled)
 
     @staticmethod
     def check_records_follow_the_rule(g):
-        # the degree-sum records are the t that the rule excludes and that
-        # neither parity nor matching capacity claims first
+        # the degree-sum records are the t that the rule excludes
         lo, hi = solver.search_range(g)
-        parity, floor = parity_obstruction(g), matching_floor(g)
         ob = degree_sum_obstruction(g)
         records = list(solver._plan(g, lo, hi, 1))
         got = [rec.t for rec in records if rec.source == "degree-sum"]
-        assert got == [t for t in range(lo, hi + 1)
-                       if ob.excludes(t) and not parity.excludes(t) and t >= floor]
+        assert got == [t for t in range(lo, hi + 1) if ob.excludes(t)]
         assert all((rec.decision, rec.nodes_explored) == (INFEASIBLE, 0)
                    for rec in records if rec.source == "degree-sum")
         return got
@@ -594,13 +588,14 @@ class TestDegreeSumPlanner:
 
     def test_atlas_nodes_and_settled_t(self, atlas):
         # every connected graph on 2-7 vertices at a 1M budget: the rule
-        # settles 177 t that the search proved infeasible in 915,018 nodes,
-        # with the same members, witnesses and timeouts as before
+        # settles 295 t: 92 that parity also excludes, 26 more below the
+        # matching floor, and 177 that the search proved infeasible in
+        # 915,018 nodes
         graphs = [g for g in atlas if g.vertex_count >= 2 and is_connected(g)]
         assert len(graphs) == 995
         sets = [feasible_set(g, node_budget=1_000_000) for g in graphs]
         settled = [d for fs in sets for d in fs.decisions if d.source == "degree-sum"]
-        assert len(settled) == 177
+        assert len(settled) == 295
         assert sum(fs.nodes_explored for fs in sets) == 2_126_466
         assert sum(len(fs.timed_out) for fs in sets) == 0
 
@@ -659,7 +654,7 @@ class TestFeasibleSet:
         g = make_cycle(6)
         assert feasible_set(g).members == feasible_set(g, jobs=2).members
 
-    # K4 has 4 t values to search (3-6; it is not Eulerian, so parity excludes
+    # K4 has 4 t values to search (3-6; the degree-sum obstruction excludes
     # none); a fake pool records how many workers start
     @pytest.mark.parametrize("cpus,started", [(3, [3]), (64, [4]), (1, []), (None, [])])
     def test_worker_count_bounded(self, monkeypatch, pool_starts, cpus, started):
@@ -869,11 +864,10 @@ class TestParityPlanner:
 
         monkeypatch.setattr(solver, "decide", recording_decide)
         fs = feasible_set(make_complete(7), node_budget=20_000)
-        # 21 edges, every degree 6: no degree sum is 21 mod 11 or mod 13
+        # 21 edges, every degree 6: every degree sum is even, and none is
+        # 21 mod 11 or mod 13
         for d in fs.decisions:
-            if d.t % 2 == 0:
-                assert (d.decision, d.source, d.nodes_explored) == (INFEASIBLE, "parity", 0)
-            elif d.t in (11, 13):
+            if d.t % 2 == 0 or d.t in (11, 13):
                 assert (d.decision, d.source, d.nodes_explored) == (INFEASIBLE, "degree-sum", 0)
             else:
                 assert d.source == "search" and d.nodes_explored > 0
@@ -937,18 +931,15 @@ class TestCertify:
         res = certify_noncolorable(make_complete(7), node_budget=1)
         assert isinstance(res, Certificate) and res.inconclusive
         for tr in res.transcripts:
-            if tr["t"] % 2 == 0:
-                assert tr == {"t": tr["t"], "decision": INFEASIBLE, "source": "parity",
-                              "nodes_explored": 0}
-            elif tr["t"] in (11, 13):
+            if tr["t"] % 2 == 0 or tr["t"] in (11, 13):
                 assert tr == {"t": tr["t"], "decision": INFEASIBLE, "source": "degree-sum",
                               "nodes_explored": 0}
             else:
                 assert (tr["decision"], tr["source"]) == (TIMEOUT, "search")
 
     def test_witness_wins_over_earlier_timeouts(self):
-        # t=6 is parity-excluded (21 edges, every degree even) and t=7 is
-        # found feasible within the tiny budget
+        # t=6 is excluded with no search (21 edges, every degree even) and
+        # t=7 is found feasible within the tiny budget
         res = certify_noncolorable(make_complete(7), node_budget=3_000)
         assert isinstance(res, EdgeColoring) and res.t == 7
 
