@@ -213,45 +213,37 @@ def _check_base_step(n: int, g: Graph, coloring: EdgeColoring, classes: Sequence
                 f"cube base coloring n={n}: vertex {v} spectrum mismatch")
 
 
-# found once by the exact solver (decide(Q_3, 8)) and frozen; re-validated in
-# tests against the canonical edge order of make_hypercube(3)
-_Q3_CYCLIC_8: tuple[int, ...] = (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)
-
-
 def color_hypercube_cyclic(n: int) -> tuple[Graph, EdgeColoring]:
     """Cyclic 4(n-1)-coloring of the n-cube.
 
-    n=2 is the 4-cycle with all four colors; n=3 is a frozen solver witness;
-    n>=4 shifts the two-class interval coloring of the (n-2)-cube around the
-    four quadrants cut by the first two coordinates and keys the quadrant
-    matching colors off the endpoint class.  Every result is checked.
+    Shifts the two-class interval coloring of the (n-2)-cube around the four
+    quadrants cut by the first two coordinates and keys the quadrant matching
+    colors off the endpoint class.  At n=3 the base Q_1 is one edge of color
+    1 with both ends in class 0, and at n=2 the base Q_0 has no edge, so the
+    class windows [1, n-2] and [2, n-1] hold with one class or vacuously and
+    the rule covers every n>=2.  Every result is checked.
     """
     if n < 2:
         raise ValueError("needs n >= 2")
     _check_hypercube_size(n)  # before the cube is built
     t = 4 * (n - 1)
     g = make_hypercube(n)
-    if n == 2:  # canonical edges (0,1),(0,2),(1,3),(2,3)
-        colors = (1, 4, 2, 3)
-    elif n == 3:
-        colors = _Q3_CYCLIC_8
-    else:
-        # quadrant q = u & 3 = bit0 + 2*bit1; shifts follow the quadrant cycle
-        # (0,0) -> (0,1) -> (1,1) -> (1,0) -> (0,0), that is q = 0 -> 2 -> 3 -> 1
-        shift = (0, 3 * (n - 1), n - 1, 2 * (n - 1))
-        colors = []
-        for u, v in g.edges:
-            d = (u ^ v).bit_length() - 1  # the flipped bit
-            if d >= 2:  # the (n-2)-cube edge u >> 2 -- v >> 2, shifted
-                colors.append(_base_color(u >> 2, d - 2) + shift[u & 3])
-                continue
-            # a matching edge takes the shift of the quadrant that follows the
-            # other on the cycle, plus the class of its endpoints (they share
-            # all bits above the flipped one, so the class is bit 3); on the
-            # wrap edge, 0 becomes t
-            qu, qv = u & 3, v & 3
-            later = qv if shift[qv] == (shift[qu] + n - 1) % t else qu
-            colors.append(mod_color(shift[later] + (u >> 3 & 1), t))
+    # quadrant q = u & 3 = bit0 + 2*bit1; shifts follow the quadrant cycle
+    # (0,0) -> (0,1) -> (1,1) -> (1,0) -> (0,0), that is q = 0 -> 2 -> 3 -> 1
+    shift = (0, 3 * (n - 1), n - 1, 2 * (n - 1))
+    colors = []
+    for u, v in g.edges:
+        d = (u ^ v).bit_length() - 1  # the flipped bit
+        if d >= 2:  # the (n-2)-cube edge u >> 2 -- v >> 2, shifted
+            colors.append(_base_color(u >> 2, d - 2) + shift[u & 3])
+            continue
+        # a matching edge takes the shift of the quadrant that follows the
+        # other on the cycle, plus the class of its endpoints (they share
+        # all bits above the flipped one, so the class is bit 3); on the
+        # wrap edge, 0 becomes t
+        qu, qv = u & 3, v & 3
+        later = qv if shift[qv] == (shift[qu] + n - 1) % t else qu
+        colors.append(mod_color(shift[later] + (u >> 3 & 1), t))
     coloring = EdgeColoring(t, tuple(colors))
     check = validate_cyclic(g, coloring)
     if not check.valid:  # cannot fire for a sound base rule; kept as a guard

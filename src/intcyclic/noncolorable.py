@@ -127,8 +127,9 @@ def detect_kstar(g: Graph) -> Optional[tuple[int, int]]:
     return (k - 1) // 2, m
 
 
-def _kstar_certificate(n: int, m: int, g: Graph) -> Certificate:
-    detected = detect_kstar(g)
+def _kstar_certificate(n: int, m: int, g: Graph,
+                       detected: Optional[tuple[int, int]]) -> Certificate:
+    """Certify g as the kstar (n, m), given detected = detect_kstar(g)."""
     structure_ok = detected == (n, m)
     special = (n, m) == (2, 11)
     rule = RULE_KSTAR_511 if special else RULE_KSTAR
@@ -155,7 +156,7 @@ def build_certified_kstar(n: int, m: int) -> tuple[Graph, Certificate]:
     m >= 6n, or for the special pair (2, 11); otherwise return a rejection
     certificate that makes no claim."""
     g = make_kstar(n, m)
-    return g, _kstar_certificate(n, m, g)
+    return g, _kstar_certificate(n, m, g, detect_kstar(g))
 
 
 def noncolorable_for_degree(d: int) -> tuple[Graph, Certificate]:
@@ -182,7 +183,7 @@ def match_analytic(g: Graph) -> Optional[Certificate]:
     certificate, or None when no rule applies."""
     detected = detect_kstar(g)
     if detected is not None:
-        cert = _kstar_certificate(*detected, g)
+        cert = _kstar_certificate(*detected, g, detected)
         if cert.passed:
             return cert
     # g - u keeps |V| - 1 vertices and |E| - deg(u) edges, so it can be a

@@ -105,6 +105,15 @@ class TestDetection:
         cert = match_analytic(make_kstar(2, 13))
         assert cert is not None and cert.rule == "kstar"
 
+    @pytest.mark.parametrize("g", [make_kstar(2, 13), make_kstar(2, 11), make_kstar(2, 5),
+                                   make_tree_hat(make_hub_tree(10, 10))])
+    def test_match_analytic_detects_the_kstar_once(self, monkeypatch, g):
+        calls = []
+        real = nc.detect_kstar
+        monkeypatch.setattr(nc, "detect_kstar", lambda g: calls.append(g) or real(g))
+        match_analytic(g)
+        assert calls == [g]
+
     def test_match_analytic_tree_hat(self):
         hat = make_tree_hat(make_hub_tree(10, 10))
         cert = match_analytic(hat)
@@ -154,7 +163,7 @@ def match_analytic_every_apex(g):
     and its leaves compared with the deleted vertex's neighbours."""
     detected = oracles.kstar_by_pairs(g.vertex_count, g.edges)
     if detected is not None:
-        cert = nc._kstar_certificate(*detected, g)
+        cert = nc._kstar_certificate(*detected, g, nc.detect_kstar(g))
         if cert.passed:
             return cert
     for u in range(g.vertex_count):
