@@ -18,9 +18,10 @@ each endpoint's allowed() window mask less its spectrum, read from one
 window table per process keyed on (t, degree, spectrum), which is cleared
 once it holds more than WINDOW_TABLE_CAP entries; no answer depends on its
 state (see _WINDOWS).  Branches that cannot use all t colors
-are cut, by counting at every position and, after a placement in the first
-three fifths of the order, by coverage: each color not yet used must still
-be a candidate of some later edge (see decide()).  Three symmetry cuts keep
+are cut, by counting at every position and by coverage: each color not yet
+used must still be a candidate of some later edge, checked after every
+placement when the slack m - t is at most 8, else after a placement in the
+first three fifths of the order (see decide()).  Three symmetry cuts keep
 only the lexicographically least coloring of each orbit (see decide()): the
 first edge is pinned to color 1 (color rotation), the first color other
 than 1 is capped at ceil((t+1)/2) (color reflection), and the edges from
@@ -304,22 +305,22 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     it stops, it would not cut a complete coloring even at the last
     position, which has no later edge.
 
-    The check runs only after placements at pos < 3m // 5.  On the 995
-    connected graphs on 2-7 vertices at a 1M budget, the scan takes 8.70M
-    nodes with no check, 7.26M checking pos < m // 3, 4.46M for m // 2,
-    3.68M for 5m // 9, 3.04M for 3m // 5, 2.48M for 2m // 3 and 2.23M at
-    every position, with the same answers each time (median of five fresh
-    runs on a shared 2-core VM: 4.5, 4.3, 3.6, 2.9, 2.8, 2.7 and 2.8 s).  A
-    search that runs to its budget spends most of its nodes deep in the
-    order, where a check walks far before it covers every color.  Over the
-    32 searches of the benchmark's search pool that run to a 20k budget with
-    the check at m // 2 (K_7 at t = 8 and 10-12, K_8 at 12-16, Q_4 at 10-16,
-    and C_200, C_350 and C_650 at a t of n/8), the time per node against no
-    check is 1.05x for m // 2, 1.09x for 5m // 9, 1.16x for 3m // 5, 1.40x
-    for 2m // 3 and 2.3x at every position.  3m // 5 is the deepest of
-    these gates that costs those searches no more than a sixth per node;
-    at 2m // 3 the atlas would save a fifth of its nodes and the 32
-    searches would take a fifth longer."""
+    The check runs after every placement when the slack m - t is at most 8, and
+    otherwise only after placements at pos < 3m // 5: one comparison per call.
+    With little slack few edges may repeat a color, so an unused color is soon
+    left without a later edge and the cut pays at every depth.  With a large
+    slack the walk goes far before it covers every color, and a search that
+    runs to its budget spends most of its nodes deep in the order, where the
+    walk is longest: on the 32 budget-bound searches of the benchmark's search
+    pool, checking every position cost 2.3x per node against no check, and
+    checking before 3m // 5 1.16x.  On the 995 connected graphs on 2-7 vertices
+    at a 1M budget, the scan takes 2,126,466 nodes with the 3m // 5 gate at
+    every slack, and with every position checked at slack at most S: 2,007,135
+    for S = 4, 1,780,366 for 6, 1,653,194 for 8, 1,647,896 for 10 and 1,647,818
+    for 12 or more, with the same answers each time.  S = 8 because the saving
+    stops growing there, and because every search of the benchmark's search
+    pool that runs to its 20k budget has a slack of 10 or more, so none of them
+    pays for the deeper check."""
     if t < 1:
         raise ValueError("t must be a positive integer")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
@@ -340,7 +341,9 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     slots = [(u, v, free[deg[u]], free[deg[v]]) for u, v in ends]
     capped = (1 << ((t + 2) // 2)) - 1  # colors 1..ceil((t+1)/2)
     tight = m - t  # the first k > tight edges must use at least k - tight colors
-    gate = 3 * m // 5  # the coverage check runs after placements at earlier positions
+    # the coverage check runs after placements at earlier positions: all of
+    # them when few edges may repeat a color
+    gate = m if tight <= 8 else 3 * m // 5
     full = (1 << t) - 1
     vmask = [0] * g.vertex_count
     # what each position below the current one keeps: its color, its untried

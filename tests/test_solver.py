@@ -113,31 +113,37 @@ class TestDecide:
         assert a.witness == b.witness
 
     # node counts and witnesses at a fixed budget pin the search's edge
-    # order, color order and pruning
+    # order, color order and pruning.  The kstar rows sit on both sides of
+    # the coverage gate's slack split: m - t = 9 keeps the 3m // 5 gate, and
+    # m - t = 8 checks coverage after every placement
     @pytest.mark.parametrize("g,t,decision,nodes,colors", [
-        (make_complete(5), 7, INFEASIBLE, 126, None),
-        (make_hypercube(3), 8, FEASIBLE, 96, (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)),
-        (make_gdn(4, 4), 10, FEASIBLE, 26, (1, 2, 3, 4, 8, 9, 10, 5, 6, 7, 3, 4)),
-        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 118, None),
+        (make_complete(5), 7, INFEASIBLE, 116, None),
+        (make_hypercube(3), 8, FEASIBLE, 69, (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)),
+        (make_gdn(4, 4), 10, FEASIBLE, 16, (1, 2, 3, 4, 8, 9, 10, 5, 6, 7, 3, 4)),
+        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 97, None),
         (make_complete(6), 8, FEASIBLE, 15,
          (1, 2, 3, 4, 5, 3, 2, 5, 4, 1, 7, 8, 8, 7, 6)),
-        (make_tree_hat(make_hub_tree(2, 2)), 5, FEASIBLE, 12, (5, 1, 2, 1, 2, 3, 1, 2, 3, 4)),
-    ], ids=["K5", "Q3", "G4-4", "K1-2-3", "K6", "hub-tree-hat"])
+        (make_tree_hat(make_hub_tree(2, 2)), 5, FEASIBLE, 11, (5, 1, 2, 1, 2, 3, 1, 2, 3, 4)),
+        (make_kstar(2, 7), 9, INFEASIBLE, 28_048, None),
+        (make_kstar(2, 7), 10, INFEASIBLE, 13_826, None),
+    ], ids=["K5", "Q3", "G4-4", "K1-2-3", "K6", "hub-tree-hat", "kstar-2-7-slack9",
+            "kstar-2-7-slack8"])
     def test_pinned_node_counts(self, g, t, decision, nodes, colors):
         out = decide(g, t, node_budget=200_000)
         assert (out.decision, out.nodes_explored) == (decision, nodes)
         assert (out.witness.colors if out.witness else None) == colors
 
-    # decided rows of the paper's families, each within a node bound: one
+    # decided rows of the paper's families, each with its node count: one
     # vertex of degree 500, and the dense end of n = 8, where the coverage
-    # cut must reach deep into the order
-    @pytest.mark.parametrize("g,t,budget,decision,most", [
+    # cut must reach deep into the order.  Both have a slack m - t above 8,
+    # so the coverage gate stays at 3m // 5 and their counts stay exact
+    @pytest.mark.parametrize("g,t,budget,decision,nodes", [
         (make_complete_bipartite(2, 500), 502, None, FEASIBLE, 1_002),
-        (make_complete(8), 14, 1_000_000, INFEASIBLE, 1_000_000),
+        (make_complete(8), 14, 1_000_000, INFEASIBLE, 883_676),
     ], ids=["K2-500", "K8"])
-    def test_scoreboard_rows(self, g, t, budget, decision, most):
+    def test_scoreboard_rows(self, g, t, budget, decision, nodes):
         out = decide(g, t, node_budget=budget)
-        assert out.decision == decision and out.nodes_explored <= most
+        assert (out.decision, out.nodes_explored) == (decision, nodes)
 
     # far deeper than the interpreter's recursion limit
     @pytest.mark.parametrize("g,t", [(make_cycle(1200), 3), (make_path(2000), 4)],
@@ -402,7 +408,7 @@ class TestTwinOrder:
         ref, new = map(sum, zip(*(check_against_reference(g, 200_000) for g in graphs)))
         assert new < ref // 3
         # exact: a change that only speeds the kernel up leaves every node count as it is
-        assert (ref, new) == (164_993, 40_123)
+        assert (ref, new) == (164_993, 33_473)
 
     def test_bfs_order_keeps_every_decision_on_atlas(self, atlas):
         # the reference in the old BFS order and in the search's order decide
@@ -490,7 +496,7 @@ def test_feasible_set_bytes_are_frozen():
         digest.update(canonical_json(fs.to_dict()).encode())
         nodes += fs.nodes_explored
         timeouts += len(fs.timed_out)
-    assert (nodes, timeouts, digest.hexdigest()[:16]) == (607_635, 7, "79c5eb5464a6be70")
+    assert (nodes, timeouts, digest.hexdigest()[:16]) == (468_565, 2, "715bc385b969ce01")
 
 
 @st.composite
@@ -596,7 +602,7 @@ class TestDegreeSumPlanner:
         sets = [feasible_set(g, node_budget=1_000_000) for g in graphs]
         settled = [d for fs in sets for d in fs.decisions if d.source == "degree-sum"]
         assert len(settled) == 295
-        assert sum(fs.nodes_explored for fs in sets) == 2_126_466
+        assert sum(fs.nodes_explored for fs in sets) == 1_653_194
         assert sum(len(fs.timed_out) for fs in sets) == 0
 
 
@@ -815,6 +821,22 @@ def test_seven_clique_gap():
     assert decide(k7, 7).decision == FEASIBLE
     assert decide(k7, 9).decision == FEASIBLE
     assert parity_obstruction(k7).excludes(8)
+
+
+# K_5 joined to a hub of m pendant leaves, which the kstar rules (m = 11 and
+# m >= 12) do not reach: each range ends at |E|, so no upper bound settles
+# these sets, and a set with no member refutes every t by exhaustive search
+@pytest.mark.parametrize("m,members,nodes", [
+    (6, (7,), 69_722),
+    (7, (), 71_722),
+    (8, (), 77_831),
+    (9, (), 94_152),
+    (10, (), 126_334),
+], ids=["m6", "m7", "m8", "m9", "m10"])
+def test_small_kstar_feasible_sets(m, members, nodes):
+    fs = feasible_set(make_kstar(2, m), node_budget=1_000_000)
+    assert fs.exhausted
+    assert (fs.members, fs.nodes_explored) == (members, nodes)
 
 
 @pytest.fixture(scope="module")
