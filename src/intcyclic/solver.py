@@ -8,19 +8,25 @@ visit order of the graph's component pass, a BFS from each component's
 first maximum-degree vertex.  So the tightest spectrum constraints engage
 early.  The order, the star's twin links and the other facts decide() reads
 of a graph form its search plan, built once per Graph object and read by
-every t.  The symmetry cuts below constrain only the star, and the counting
-and coverage cuts hold in any order, so the order leaves every cut sound.
-The search is an explicit-stack loop with no depth limit: each position
-keeps the bitset of its untried candidate colors and takes them lowest
-first.  A position's candidates are the colors free at both endpoints that
-keep each endpoint's spectrum inside some cyclic window of its degree size:
-each endpoint's allowed() window mask less its spectrum, read from one
-window table per process keyed on (t, degree, spectrum), which is cleared
-once it holds more than WINDOW_TABLE_CAP entries; no answer depends on its
-state (see _WINDOWS).  Branches that cannot use all t colors
-are cut, by counting at every position and by coverage: each color not yet
-used must still be a candidate of some later edge, checked after every
-placement when the slack m - t is at most 8, else after a placement in the
+every t.  When the slack m - t is at most 8, the order past a short static
+prefix of the star is chosen along the path: on entering a position, an
+unplaced edge beside the edge just placed with strictly fewer candidates
+takes the place of the plan's edge, and gives it back when the search
+leaves (see decide()).  The symmetry cuts below constrain only the static
+prefix, and the counting and coverage cuts hold in any order, so either
+order leaves every cut sound.  The search is an explicit-stack loop with no
+depth limit: each position keeps the bitset of its untried candidate
+colors and takes them lowest first.  A position's candidates are the
+colors free at both endpoints that keep each endpoint's spectrum inside
+some cyclic window of its degree size: each endpoint's allowed() window
+mask less its spectrum, read from one window table per process keyed on
+(t, degree, spectrum), which is cleared once it holds more than
+WINDOW_TABLE_CAP entries; no answer depends on its state (see _WINDOWS).
+At a slack of 8 or less each vertex's entry is kept in a list along the
+path instead of looked up at every use.  Branches that cannot use all t
+colors are cut, by counting at every position and by coverage: each color
+not yet used must still be a candidate of some later edge, checked after
+every placement when the slack is at most 8, else after a placement in the
 first three fifths of the order (see decide()).  Three symmetry cuts keep
 only the lexicographically least coloring of each orbit (see decide()): the
 first edge is pinned to color 1 (color rotation), the first color other
@@ -144,9 +150,11 @@ class FeasibleSet:
 
 # What decide() reads of a graph, the same at every t (see _search_plan): the
 # edge indices in search order, each position's edge (u, v), the star's twin
-# links, how many positions can need the reflection cap or a twin link, and
-# the degrees at edge ends, each of which gets one window table per t
-SearchPlan = namedtuple("SearchPlan", "order ends twin early degrees")
+# links, how many positions can need the reflection cap or a twin link (the
+# static prefix, at least as long as the links), the degrees at edge ends,
+# each of which gets one window table per t, and per vertex the positions of
+# its edges, ascending, where the fail-first choice looks for the next edge
+SearchPlan = namedtuple("SearchPlan", "order ends twin early degrees spots")
 
 
 def _search_plan(g: Graph) -> SearchPlan:
@@ -184,11 +192,19 @@ def _search_plan(g: Graph) -> SearchPlan:
 
     The twin links, for the twin order: entry p is the latest earlier star
     position whose far endpoint is a twin of position p's (see
-    graphs.first_twins), or -1; trailing -1 entries are dropped."""
+    graphs.first_twins), or -1; trailing -1 entries are dropped.
+
+    The static prefix, `early`: the first max(2, len(links)) positions when
+    deg(a) >= 2, else all of them.  The reflection cap and the twin links
+    act only there, so decide()'s fail-first choice (slack m - t at most 8)
+    starts after it, reading `spots`, each vertex's positions in this order,
+    ascending, built here once per graph rather than at every call.  Starting
+    the choice after the whole star instead cuts the benchmark's scan nodes
+    by 22% rather than 34% (76,793 to 60,167, against 50,639)."""
     added = [False] * g.edge_count
     walks = g._components[0]
     if not walks:  # no vertex
-        return SearchPlan((), (), (), 0, frozenset())
+        return SearchPlan((), (), (), 0, frozenset(), ())
     adjacency, incident, deg = g.adjacency, g.incident_edges, g.degrees
     a = walks[0][0]
     star = adjacency[a]
@@ -232,9 +248,14 @@ def _search_plan(g: Graph) -> SearchPlan:
     # only color used; past position 1 (a's second star edge, which cannot
     # take color 1) that needs a start vertex of degree 1.
     early = max(len(links), 2) if len(star) >= 2 else g.edge_count
+    ends = tuple(map(g.edges.__getitem__, order))
+    spots: list[list[int]] = [[] for _ in deg]
+    for p, (u, v) in enumerate(ends):
+        spots[u].append(p)
+        spots[v].append(p)
     plan = vars(g)["_search_plan"] = SearchPlan(
-        tuple(order), tuple(map(g.edges.__getitem__, order)), tuple(links), early,
-        frozenset(deg) - {0})
+        tuple(order), ends, tuple(links), early, frozenset(deg) - {0},
+        tuple(map(tuple, spots)))
     return plan
 
 
@@ -270,14 +291,22 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     """Decide whether the graph admits a cyclic coloring with exactly t
     colors; feasible outcomes carry a validated witness.
 
+    Two modes, chosen once per call from the slack m - t.  At a slack of 8
+    or less, past the static prefix (the plan's first `early` positions),
+    the next edge is chosen fail first, and coverage is checked after every
+    placement, over per-vertex free colors kept along the path.  Above 8,
+    the search takes the plan's order as it is, reads candidates from the
+    window table, and checks coverage after placements at pos < 3m // 5.
+
     Symmetry cuts, and why together they keep every decision.  Let G be the
     group generated by the color rotations c -> c+k (mod t), the reflection
     c -> t+2-c (mod t) and the transpositions of twin neighbours b, b' of
     the start vertex a.  A twin transposition is a vertex automorphism
     fixing a, so it maps cyclic colorings to cyclic colorings, and color
     maps commute with it.  Order colorings lexicographically by their color
-    sequence in search order; the least coloring of a G-orbit then meets
-    all three cuts at once, since breaking one would give a smaller image:
+    sequence in a fixed order whose first positions are the static prefix,
+    the plan's order say; the least coloring of a G-orbit then meets all
+    three cuts at once, since breaking one would give a smaller image:
     - rotation: its first edge has color 1;
     - reflection: the reflection fixes color 1, so the first color c other
       than 1 has c <= t+2-c, i.e. c <= ceil((t+1)/2) (it sits on a's second
@@ -285,9 +314,33 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     - twin order: swapping b and b' exchanges the colors of the star edges
       ab and ab' and moves no other star edge (the other edges of b and b'
       come after the star), so the earlier of the two has the lower color.
-    Every feasible t thus keeps a witness, and the search tree is a subtree
-    of the one without the twin cut, visited in the same order: the first
-    witness found is the same and no node count goes up.
+    The three cuts compare only prefix positions: the prefix is a's first
+    max(2, len(twin)) star edges (every position when deg(a) < 2), so every
+    twin link and every position that can need the cap lie in it.  Below
+    the prefix the search tries every coloring in whatever order it takes
+    its edges, so every feasible t keeps a witness.  The search tree is a
+    subtree of the one without the twin cut, visited in the same order, and
+    its first witness W is the same: if W broke the twin order at star
+    positions p < q, its twin image would agree with W before p (the prefix
+    is static, and the swap moves only prefix edges and edges after them),
+    take a lower color at p and meet the rotation pin and the cap, so the
+    search without the cut would have reached it first.  So no node count
+    goes up against that search.
+
+    Fail-first choice, at a slack of 8 or less.  On entering a position past
+    the prefix, the edge the arrangement holds there stays unless an
+    unplaced edge sharing an end with the edge just placed has strictly
+    fewer candidates: those are looked at by the placed edge's lower end,
+    then its higher one, each end's edges in plan order (SearchPlan.spots),
+    and the first with the fewest wins (Haralick & Elliott, Artif. Intell.
+    14, 1980; Brelaz, CACM 22, 1979).  The winner trades places with the
+    held edge, and they trade back when the search leaves the position, so
+    the arrangement is a function of the current path alone, and a search
+    without the twin and coverage cuts that follows the same rule searches
+    a supertree of this tree.  Each vertex's free colors, allowed() less its
+    spectrum, are kept in a list, set on placement and restored on
+    backtrack, so an edge's candidates are the AND of its ends' entries and
+    neither the choice nor the coverage walk reads the window table.
 
     Coverage cut, and why it is sound.  After a placement at position pos,
     every color not yet used must be a candidate of some later edge r,
@@ -305,22 +358,25 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     it stops, it would not cut a complete coloring even at the last
     position, which has no later edge.
 
-    The check runs after every placement when the slack m - t is at most 8, and
-    otherwise only after placements at pos < 3m // 5: one comparison per call.
-    With little slack few edges may repeat a color, so an unused color is soon
-    left without a later edge and the cut pays at every depth.  With a large
-    slack the walk goes far before it covers every color, and a search that
-    runs to its budget spends most of its nodes deep in the order, where the
-    walk is longest: on the 32 budget-bound searches of the benchmark's search
-    pool, checking every position cost 2.3x per node against no check, and
-    checking before 3m // 5 1.16x.  On the 995 connected graphs on 2-7 vertices
-    at a 1M budget, the scan takes 2,126,466 nodes with the 3m // 5 gate at
-    every slack, and with every position checked at slack at most S: 2,007,135
-    for S = 4, 1,780,366 for 6, 1,653,194 for 8, 1,647,896 for 10 and 1,647,818
-    for 12 or more, with the same answers each time.  S = 8 because the saving
-    stops growing there, and because every search of the benchmark's search
-    pool that runs to its 20k budget has a slack of 10 or more, so none of them
-    pays for the deeper check."""
+    Why the slack split.  With little slack few edges may repeat a color,
+    so an unused color is soon left without a later edge and the coverage
+    cut pays at every depth.  With a large slack the walk goes far before
+    it covers every color, and a search that runs to its budget spends most
+    of its nodes deep in the order, where the walk is longest: on the 32
+    budget-bound searches of the benchmark's search pool, checking every
+    position cost 2.3x per node against no check, and checking before
+    3m // 5 1.16x.  On the 995 connected graphs on 2-7 vertices at a 1M
+    budget, the static order takes 2,126,466 nodes with the 3m // 5 gate at
+    every slack, and with every position checked at slack at most S:
+    2,007,135 for S = 4, 1,780,366 for 6, 1,653,194 for 8, 1,647,896 for 10
+    and 1,647,818 for 12 or more, with the same answers each time; the
+    fail-first choice at slack at most 8 brings 1,653,194 to 1,112,989.
+    Every search of the benchmark's search pool that runs to its 20k budget
+    has a slack of 10 or more, and there the choice and the free lists cost
+    more per node than they save: choosing fail first at every slack cut
+    the search workload's nodes by 21% but its items per second by 46%, and
+    the free lists alone, in the static order, cost 13-23% per node on
+    K_7 at t = 8, Q_4 at 12 and C_200 at 25."""
     if t < 1:
         raise ValueError("t must be a positive integer")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
@@ -328,7 +384,7 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     m = g.edge_count
     if t > m:  # fewer edges than colors: nothing can be surjective
         return SolveOutcome(INFEASIBLE, t, None, 0, time.perf_counter() - start)
-    order, ends, twin, early, degrees = vars(g).get("_search_plan") or _search_plan(g)
+    order, ends, twin, early, degrees, spots = vars(g).get("_search_plan") or _search_plan(g)
     deg = g.degrees
     # a vertex's free colors, allowed() less its spectrum: the per-degree
     # dicts of this process's window table for t, keyed on the spectrum mask
@@ -336,14 +392,11 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     # answer depends on its state (see _WINDOWS)
     if sum(map(len, _WINDOWS.values())) > WINDOW_TABLE_CAP:
         _WINDOWS.clear()
-    free = {d: _WINDOWS.setdefault((t, d), {}) for d in degrees}
+    windows = {d: _WINDOWS.setdefault((t, d), {}) for d in degrees}
     # one tuple per position: its edge's ends and their window dicts
-    slots = [(u, v, free[deg[u]], free[deg[v]]) for u, v in ends]
+    slots = [(u, v, windows[deg[u]], windows[deg[v]]) for u, v in ends]
     capped = (1 << ((t + 2) // 2)) - 1  # colors 1..ceil((t+1)/2)
     tight = m - t  # the first k > tight edges must use at least k - tight colors
-    # the coverage check runs after placements at earlier positions: all of
-    # them when few edges may repeat a color
-    gate = m if tight <= 8 else 3 * m // 5
     full = (1 << t) - 1
     vmask = [0] * g.vertex_count
     # what each position below the current one keeps: its color, its untried
@@ -351,81 +404,177 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     bits = [0] * m
     cands = [0] * m
     used_at = [0] * m
+    held = range(m)  # the plan position of the edge at each position
     pos = nodes = before = 0  # before: colors used before the current position
-    u, v, _, _ = slots[0]
+    u, v, tu, tv = slots[0]
     # the current position's untried candidates: the first edge is pinned to
     # color 1 (color rotation)
     c = 1
-    while True:
-        if not c:
-            if pos == 0:
-                return SolveOutcome(INFEASIBLE, t, None, nodes, time.perf_counter() - start)
-            pos -= 1
-            u, v, _, _ = slots[pos]
-            bit = bits[pos]
-            vmask[u] ^= bit
-            vmask[v] ^= bit
-            c = cands[pos]
-            before = used_at[pos]
-            continue
-        bit = c & -c
-        c ^= bit
-        nodes += 1
-        if nodes > budget:
-            return SolveOutcome(TIMEOUT, t, None, nodes, time.perf_counter() - start)
-        used = before | bit
-        if pos >= tight and used.bit_count() < pos + 1 - tight:
-            continue  # too few edges left to use every color (counted as a node)
-        vmask[u] |= bit
-        vmask[v] |= bit
-        if pos < gate:  # coverage: every unused color is a later edge's candidate
-            need = full & ~used
+    if tight <= 8:  # fail first, over per-vertex free colors (see above)
+        free = [full] * g.vertex_count  # allowed() less the spectrum, per vertex
+        held = list(held)
+        at = list(held)  # the position of the edge at each plan position
+        swapped = [0] * m  # the position whose edge a position took, or 0
+        free_u = [0] * m  # its ends' free colors before a position's placement
+        free_v = [0] * m
+        while True:
+            if not c:
+                if pos == 0:
+                    return SolveOutcome(INFEASIBLE, t, None, nodes, time.perf_counter() - start)
+                r = swapped[pos]
+                if r:  # leaving the position: its own edge comes back
+                    swapped[pos] = 0
+                    p, q = held[pos], held[r]
+                    held[pos], held[r], at[p], at[q] = q, p, r, pos
+                    slots[pos], slots[r] = slots[r], slots[pos]
+                pos -= 1
+                u, v, tu, tv = slots[pos]
+                bit = bits[pos]
+                vmask[u] ^= bit
+                vmask[v] ^= bit
+                free[u] = free_u[pos]
+                free[v] = free_v[pos]
+                c = cands[pos]
+                before = used_at[pos]
+                continue
+            bit = c & -c
+            c ^= bit
+            nodes += 1
+            if nodes > budget:
+                return SolveOutcome(TIMEOUT, t, None, nodes, time.perf_counter() - start)
+            used = before | bit
+            if pos >= tight and used.bit_count() < pos + 1 - tight:
+                continue  # too few edges left to use every color (counted as a node)
+            fu = free[u]
+            fv = free[v]
+            mu = vmask[u] = vmask[u] | bit
+            mv = vmask[v] = vmask[v] | bit
+            try:
+                free[u] = tu[mu]
+            except KeyError:
+                free[u] = tu[mu] = allowed(mu, deg[u], t) & ~mu
+            try:
+                free[v] = tv[mv]
+            except KeyError:
+                free[v] = tv[mv] = allowed(mv, deg[v], t) & ~mv
+            need = full & ~used  # coverage, after every placement
             r = m - 1
-            while need and r > pos:  # an edge with two untouched ends covers all
-                x, y, tx, ty = slots[r]
-                mx = vmask[x]
-                my = vmask[y]
-                try:
-                    fx = tx[mx]
-                except KeyError:
-                    fx = tx[mx] = allowed(mx, deg[x], t) & ~mx
-                try:
-                    fy = ty[my]
-                except KeyError:
-                    fy = ty[my] = allowed(my, deg[y], t) & ~my
-                need &= ~(fx & fy)
+            while need and r > pos:
+                x, y, _, _ = slots[r]
+                need &= ~(free[x] & free[y])
                 r -= 1
             if need:  # cut (counted as a node)
                 vmask[u] ^= bit
                 vmask[v] ^= bit
+                free[u] = fu
+                free[v] = fv
                 continue
-        bits[pos] = bit
-        cands[pos] = c
-        used_at[pos] = before
-        pos += 1
-        if pos == m:
-            break
-        before = used
-        u, v, tu, tv = slots[pos]
-        mu = vmask[u]
-        mv = vmask[v]
-        try:
-            fu = tu[mu]
-        except KeyError:
-            fu = tu[mu] = allowed(mu, deg[u], t) & ~mu
-        try:
-            fv = tv[mv]
-        except KeyError:
-            fv = tv[mv] = allowed(mv, deg[v], t) & ~mv
-        c = fu & fv  # colors are tried in ascending order
-        if pos < early:
-            if used == 1:  # color reflection: cap at ceil((t+1)/2)
-                c &= capped
-            if pos < len(twin) and twin[pos] >= 0:  # above the earlier twin's color
-                c &= -(bits[twin[pos]] << 1)
+            bits[pos] = bit
+            cands[pos] = c
+            used_at[pos] = before
+            free_u[pos] = fu
+            free_v[pos] = fv
+            pos += 1
+            if pos == m:
+                break
+            before = used
+            if pos >= early:  # a neighbour of the edge just placed with fewer candidates
+                pick = 0  # the first unplaced neighbour with the fewest, if any
+                for near in (spots[u], spots[v]):
+                    for p in near:
+                        r = at[p]
+                        if r > pos:
+                            x, y = ends[p]
+                            k = (free[x] & free[y]).bit_count()
+                            if not pick or k < best:
+                                best = k
+                                pick = r
+                if pick:
+                    x, y, _, _ = slots[pos]
+                    if best < (free[x] & free[y]).bit_count():  # it takes the place
+                        swapped[pos] = pick
+                        p, q = held[pos], held[pick]
+                        held[pos], held[pick], at[p], at[q] = q, p, pick, pos
+                        slots[pos], slots[pick] = slots[pick], slots[pos]
+            u, v, tu, tv = slots[pos]
+            c = free[u] & free[v]  # colors are tried in ascending order
+            if pos < early:
+                if used == 1:  # color reflection: cap at ceil((t+1)/2)
+                    c &= capped
+                if pos < len(twin) and twin[pos] >= 0:  # above the earlier twin's color
+                    c &= -(bits[twin[pos]] << 1)
+    else:
+        gate = 3 * m // 5  # the coverage check runs after placements at earlier positions
+        while True:
+            if not c:
+                if pos == 0:
+                    return SolveOutcome(INFEASIBLE, t, None, nodes, time.perf_counter() - start)
+                pos -= 1
+                u, v, _, _ = slots[pos]
+                bit = bits[pos]
+                vmask[u] ^= bit
+                vmask[v] ^= bit
+                c = cands[pos]
+                before = used_at[pos]
+                continue
+            bit = c & -c
+            c ^= bit
+            nodes += 1
+            if nodes > budget:
+                return SolveOutcome(TIMEOUT, t, None, nodes, time.perf_counter() - start)
+            used = before | bit
+            if pos >= tight and used.bit_count() < pos + 1 - tight:
+                continue  # too few edges left to use every color (counted as a node)
+            vmask[u] |= bit
+            vmask[v] |= bit
+            if pos < gate:  # coverage: every unused color is a later edge's candidate
+                need = full & ~used
+                r = m - 1
+                while need and r > pos:  # an edge with two untouched ends covers all
+                    x, y, tx, ty = slots[r]
+                    mx = vmask[x]
+                    my = vmask[y]
+                    try:
+                        fx = tx[mx]
+                    except KeyError:
+                        fx = tx[mx] = allowed(mx, deg[x], t) & ~mx
+                    try:
+                        fy = ty[my]
+                    except KeyError:
+                        fy = ty[my] = allowed(my, deg[y], t) & ~my
+                    need &= ~(fx & fy)
+                    r -= 1
+                if need:  # cut (counted as a node)
+                    vmask[u] ^= bit
+                    vmask[v] ^= bit
+                    continue
+            bits[pos] = bit
+            cands[pos] = c
+            used_at[pos] = before
+            pos += 1
+            if pos == m:
+                break
+            before = used
+            u, v, tu, tv = slots[pos]
+            mu = vmask[u]
+            mv = vmask[v]
+            try:
+                fu = tu[mu]
+            except KeyError:
+                fu = tu[mu] = allowed(mu, deg[u], t) & ~mu
+            try:
+                fv = tv[mv]
+            except KeyError:
+                fv = tv[mv] = allowed(mv, deg[v], t) & ~mv
+            c = fu & fv  # colors are tried in ascending order
+            if pos < early:
+                if used == 1:  # color reflection: cap at ceil((t+1)/2)
+                    c &= capped
+                if pos < len(twin) and twin[pos] >= 0:  # above the earlier twin's color
+                    c &= -(bits[twin[pos]] << 1)
     colors = [0] * m
-    for pos, e in enumerate(order):
-        colors[e] = bits[pos].bit_length()
+    for pos, p in enumerate(held):
+        colors[order[p]] = bits[pos].bit_length()
     witness = EdgeColoring(t, tuple(colors))
     check = validate_cyclic(g, witness)
     if not check.valid:  # soundness guard; must never fire

@@ -8,7 +8,9 @@ shortest paths by listing every shortest path, canonical forms by trying
 every vertex permutation or, for trees, every root, and the tree path metric
 by walking the path.  reference_decide is the backtracking kernel as it stood
 before the twin-order cut, kept as the baseline that the package's search
-must agree with; it takes its edge order as an argument.
+must agree with; it takes its edge order as an argument and, as an option,
+follows the fail-first rule past symmetry_prefix, recomputing every
+candidate set from the masks.
 fail_first_edge_order states the package's order by its rule, with exact
 fractions, and bfs_edge_order is the visit order that the search used
 before it, the old baseline.  sweep_sources_by_keys and twin_links_by_keys
@@ -450,14 +452,40 @@ def fail_first_edge_order(n, edges):
     return star + middle + one_end + others
 
 
-def reference_decide(n, edges, t, node_budget, order):
+def symmetry_prefix(n, edges, order):
+    """How many leading positions of the order stay static under the
+    fail-first rule: max(2, the twin links' length) when the first
+    maximum-degree vertex a has degree 2 or more, else every position.  A
+    twin link runs from a star position to the latest earlier one whose far
+    end is a twin of its own (first_twins_by_definition); the links' length
+    is one past the last position that has one."""
+    edges = sorted(tuple(sorted(e)) for e in edges)
+    deg, _ = _degrees_and_adjacency(n, edges)
+    if not edges or max(deg) < 2:
+        return len(edges)
+    a = deg.index(max(deg))
+    far = [sum(edges[e]) - a for e in order[:deg[a]]]
+    first = first_twins_by_definition(n, edges, far)
+    linked = [p for p in range(len(far)) if first[p] != far[p]]
+    return max(2, linked[-1] + 1 if linked else 0)
+
+
+def reference_decide(n, edges, t, node_budget, order, fail_first=False):
     """The search kernel with only the rotation pin, the reflection cap, the
     window masks and the counting cut, taking the edges in the given order
     (indices into the sorted edge list): returns (decision, nodes explored,
     colors in sorted edge order or None).  Same ascending color order and
     same node counting as the package's decide(); given the package's edge
     order (fail_first_edge_order), it searches the same tree less the twin
-    and coverage cuts."""
+    and coverage cuts.
+
+    With fail_first, past symmetry_prefix the order is an arrangement that
+    changes along the path: on entering a position, the edge it holds stays
+    unless an unplaced edge sharing an end with the edge just placed has
+    strictly fewer candidates; those are looked at by the placed edge's
+    lower end, then its higher one, each end's edges in the given order,
+    and the first with the fewest wins.  The winner trades places with the
+    held edge, and they trade back when the search leaves the position."""
     edges = sorted(tuple(sorted(e)) for e in edges)
     m = len(edges)
     if t > m:
@@ -466,12 +494,27 @@ def reference_decide(n, edges, t, node_budget, order):
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    eu = [edges[e][0] for e in order]
-    ev = [edges[e][1] for e in order]
+    rank = {e: i for i, e in enumerate(order)}
+    by_end = [sorted((e for e in range(m) if w in edges[e]), key=rank.__getitem__)
+              for w in range(n)]
+    static = symmetry_prefix(n, edges, order) if fail_first else m
+    arrangement = list(order)
+    traded = [None] * m  # the position a position's held edge went to
     full = (1 << t) - 1
     capped = (1 << ((t + 2) // 2)) - 1
     tight = m - t
     vmask = [0] * n
+    windows = {}
+
+    def candidates(e):
+        out = full
+        for w in edges[e]:
+            key = vmask[w], deg[w]
+            if key not in windows:
+                windows[key] = _reference_allowed(vmask[w], deg[w], t) & ~vmask[w]
+            out &= windows[key]
+        return out
+
     cands = [0] * m
     cands[0] = 1
     used_at = [0] * m
@@ -482,9 +525,13 @@ def reference_decide(n, edges, t, node_budget, order):
         if not c:
             if pos == 0:
                 return "infeasible", nodes, None
+            if traded[pos] is not None:
+                r = traded[pos]
+                arrangement[pos], arrangement[r] = arrangement[r], arrangement[pos]
+                traded[pos] = None
             pos -= 1
-            vmask[eu[pos]] ^= bits[pos]
-            vmask[ev[pos]] ^= bits[pos]
+            for w in edges[arrangement[pos]]:
+                vmask[w] ^= bits[pos]
             continue
         bit = c & -c
         cands[pos] = c ^ bit
@@ -494,19 +541,27 @@ def reference_decide(n, edges, t, node_budget, order):
         used = used_at[pos] | bit
         if pos >= tight and used.bit_count() < pos + 1 - tight:
             continue
-        vmask[eu[pos]] |= bit
-        vmask[ev[pos]] |= bit
+        placed = arrangement[pos]
+        for w in edges[placed]:
+            vmask[w] |= bit
         bits[pos] = bit
         pos += 1
         if pos == m:
             break
         used_at[pos] = used
-        u, v = eu[pos], ev[pos]
-        mu, mv = vmask[u], vmask[v]
-        cands[pos] = (_reference_allowed(mu, deg[u], t) & _reference_allowed(mv, deg[v], t)
-                      & ~(mu | mv) & (capped if used == 1 else full))
+        if pos >= static:
+            best, pick = candidates(arrangement[pos]).bit_count(), pos
+            for w in edges[placed]:
+                for e in by_end[w]:
+                    r = arrangement.index(e)
+                    if r > pos and candidates(e).bit_count() < best:
+                        best, pick = candidates(e).bit_count(), r
+            if pick != pos:
+                arrangement[pos], arrangement[pick] = arrangement[pick], arrangement[pos]
+                traded[pos] = pick
+        cands[pos] = candidates(arrangement[pos]) & (capped if used == 1 else full)
     colors = [0] * m
-    for pos, e in enumerate(order):
+    for pos, e in enumerate(arrangement):
         colors[e] = bits[pos].bit_length()
     return "feasible", nodes, tuple(colors)
 

@@ -114,18 +114,19 @@ class TestDecide:
 
     # node counts and witnesses at a fixed budget pin the search's edge
     # order, color order and pruning.  The kstar rows sit on both sides of
-    # the coverage gate's slack split: m - t = 9 keeps the 3m // 5 gate, and
-    # m - t = 8 checks coverage after every placement
+    # the slack split: m - t = 9 keeps the static order and the 3m // 5
+    # coverage gate, and m - t = 8 chooses edges fail first and checks
+    # coverage after every placement, as every other row here does
     @pytest.mark.parametrize("g,t,decision,nodes,colors", [
-        (make_complete(5), 7, INFEASIBLE, 116, None),
-        (make_hypercube(3), 8, FEASIBLE, 69, (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)),
+        (make_complete(5), 7, INFEASIBLE, 68, None),
+        (make_hypercube(3), 8, FEASIBLE, 50, (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)),
         (make_gdn(4, 4), 10, FEASIBLE, 16, (1, 2, 3, 4, 8, 9, 10, 5, 6, 7, 3, 4)),
-        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 97, None),
-        (make_complete(6), 8, FEASIBLE, 15,
-         (1, 2, 3, 4, 5, 3, 2, 5, 4, 1, 7, 8, 8, 7, 6)),
+        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 90, None),
+        (make_complete(6), 8, FEASIBLE, 59,
+         (1, 2, 3, 4, 5, 3, 2, 5, 4, 1, 8, 7, 7, 8, 6)),
         (make_tree_hat(make_hub_tree(2, 2)), 5, FEASIBLE, 11, (5, 1, 2, 1, 2, 3, 1, 2, 3, 4)),
         (make_kstar(2, 7), 9, INFEASIBLE, 28_048, None),
-        (make_kstar(2, 7), 10, INFEASIBLE, 13_826, None),
+        (make_kstar(2, 7), 10, INFEASIBLE, 8_232, None),
     ], ids=["K5", "Q3", "G4-4", "K1-2-3", "K6", "hub-tree-hat", "kstar-2-7-slack9",
             "kstar-2-7-slack8"])
     def test_pinned_node_counts(self, g, t, decision, nodes, colors):
@@ -136,11 +137,16 @@ class TestDecide:
     # decided rows of the paper's families, each with its node count: one
     # vertex of degree 500, and the dense end of n = 8, where the coverage
     # cut must reach deep into the order.  Both have a slack m - t above 8,
-    # so the coverage gate stays at 3m // 5 and their counts stay exact
+    # so the order stays static, the coverage gate stays at 3m // 5 and
+    # their counts stay exact.  A thin graph at slack 0 keeps its count under
+    # the fail-first choice, each choice looking only at the edges beside
+    # the edge just placed
     @pytest.mark.parametrize("g,t,budget,decision,nodes", [
         (make_complete_bipartite(2, 500), 502, None, FEASIBLE, 1_002),
         (make_complete(8), 14, 1_000_000, INFEASIBLE, 883_676),
-    ], ids=["K2-500", "K8"])
+        (make_path(4000), 3999, None, FEASIBLE, 7_996),
+        (make_cycle(2000), 2000, None, FEASIBLE, 3_000),
+    ], ids=["K2-500", "K8", "P4000", "C2000"])
     def test_scoreboard_rows(self, g, t, budget, decision, nodes):
         out = decide(g, t, node_budget=budget)
         assert (out.decision, out.nodes_explored) == (decision, nodes)
@@ -309,20 +315,26 @@ class TestWindowTable:
         assert solver._search_plan(g).degrees == {2}
 
 
+def reference(g, t, budget):
+    """oracles.reference_decide in the search's edge order
+    (oracles.fail_first_edge_order), with the fail-first rule where decide()
+    uses it: at a slack m - t of 8 or less."""
+    order = oracles.fail_first_edge_order(g.vertex_count, g.edges)
+    return oracles.reference_decide(g.vertex_count, g.edges, t, budget, order,
+                                    fail_first=g.edge_count - t <= 8)
+
+
 def check_against_reference(g, budget):
     """Every t of the feasible set against the kernel without the twin cut
-    and the coverage cut (oracles.reference_decide) at the same budget, in
-    the same edge order (oracles.fail_first_edge_order): where the
+    and the coverage cut (reference()) at the same budget: where the
     reference decides, the same decision and the same witness; everywhere,
     no more nodes.  A t that a theorem excludes must be infeasible by the
     reference too, and decide() is still run there to check both cuts.
     Returns the (reference, new) node totals."""
     fs = feasible_set(g, node_budget=budget)
-    order = oracles.fail_first_edge_order(g.vertex_count, g.edges)
     totals = [0, 0]
     for rec in fs.decisions:
-        want, ref_nodes, ref_colors = oracles.reference_decide(
-            g.vertex_count, g.edges, rec.t, budget, order)
+        want, ref_nodes, ref_colors = reference(g, rec.t, budget)
         if rec.source == "search":
             got, nodes, witness = rec.decision, rec.nodes_explored, fs.witnesses.get(rec.t)
         else:
@@ -387,15 +399,15 @@ class TestTwinOrder:
                                    make_hypercube(3)], ids=["C5", "C6", "C7", "Q3"])
     def test_without_twins_the_search_is_unchanged(self, g):
         # no twin links, so only the coverage cut can save a node against the
-        # reference; the reflection cap binds on several of these.  Coverage
-        # saves some (C5 at t = 4, Q3 at t = 7 to 9), and never a witness
+        # reference, which follows the same fail-first rule at slack 8 or
+        # less; the reflection cap binds on several of these.  Coverage
+        # saves some (C5 at t = 4, C6 at 5, C7 at 4 and 6, Q3 at 5 to 9),
+        # and never a witness
         assert solver._search_plan(g).twin == ()
-        order = oracles.fail_first_edge_order(g.vertex_count, g.edges)
         lo, hi = solver.search_range(g)
         for t in range(lo, hi + 1):
             out = decide(g, t)
-            want, ref_nodes, ref_colors = oracles.reference_decide(
-                g.vertex_count, g.edges, t, 10**6, order)
+            want, ref_nodes, ref_colors = reference(g, t, 10**6)
             assert (out.decision, out.witness.colors if out.witness else None) == \
                 (want, ref_colors), t
             assert out.nodes_explored <= ref_nodes, t
@@ -408,7 +420,7 @@ class TestTwinOrder:
         ref, new = map(sum, zip(*(check_against_reference(g, 200_000) for g in graphs)))
         assert new < ref // 3
         # exact: a change that only speeds the kernel up leaves every node count as it is
-        assert (ref, new) == (164_993, 33_473)
+        assert (ref, new) == (92_813, 26_114)
 
     def test_bfs_order_keeps_every_decision_on_atlas(self, atlas):
         # the reference in the old BFS order and in the search's order decide
@@ -462,9 +474,9 @@ def frozen_output_corpus():
     """The acceptance sweep's families with K_{2,2,3}, every tree on 2-8
     vertices, and 200 seeded random connected graphs on 5-7 vertices: a
     random tree plus a uniform share of the other pairs, so dense graphs
-    that time out at a 20k budget are among them.  Listed here rather than
-    read from the acceptance suite, so that growing the sweep moves no
-    digest."""
+    that take thousands of nodes per t at a 20k budget are among them.
+    Listed here rather than read from the acceptance suite, so that growing
+    the sweep moves no digest."""
     graphs = [make_cycle(n) for n in range(3, 13)] + [make_path(m) for m in range(3, 9)]
     graphs += all_trees_up_to(8, min_vertices=2)
     graphs += [make_hypercube(2), make_hypercube(3)] + [make_complete(n) for n in range(2, 7)]
@@ -496,7 +508,7 @@ def test_feasible_set_bytes_are_frozen():
         digest.update(canonical_json(fs.to_dict()).encode())
         nodes += fs.nodes_explored
         timeouts += len(fs.timed_out)
-    assert (nodes, timeouts, digest.hexdigest()[:16]) == (468_565, 2, "715bc385b969ce01")
+    assert (nodes, timeouts, digest.hexdigest()[:16]) == (320_805, 0, "422e9684d318d8a1")
 
 
 @st.composite
@@ -602,7 +614,7 @@ class TestDegreeSumPlanner:
         sets = [feasible_set(g, node_budget=1_000_000) for g in graphs]
         settled = [d for fs in sets for d in fs.decisions if d.source == "degree-sum"]
         assert len(settled) == 295
-        assert sum(fs.nodes_explored for fs in sets) == 1_653_194
+        assert sum(fs.nodes_explored for fs in sets) == 1_112_989
         assert sum(len(fs.timed_out) for fs in sets) == 0
 
 
@@ -827,11 +839,11 @@ def test_seven_clique_gap():
 # m >= 12) do not reach: each range ends at |E|, so no upper bound settles
 # these sets, and a set with no member refutes every t by exhaustive search
 @pytest.mark.parametrize("m,members,nodes", [
-    (6, (7,), 69_722),
-    (7, (), 71_722),
-    (8, (), 77_831),
-    (9, (), 94_152),
-    (10, (), 126_334),
+    (6, (7,), 57_626),
+    (7, (), 61_504),
+    (8, (), 68_393),
+    (9, (), 84_958),
+    (10, (), 117_342),
 ], ids=["m6", "m7", "m8", "m9", "m10"])
 def test_small_kstar_feasible_sets(m, members, nodes):
     fs = feasible_set(make_kstar(2, m), node_budget=1_000_000)
