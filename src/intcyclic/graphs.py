@@ -100,30 +100,30 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        d = [0] * self.vertex_count
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return tuple(d)
+        return tuple(map(len, self.incident_edges))
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        # adjacency and incident_edges, built in one pass over the edges
+        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for i, (u, v) in enumerate(self.edges):
+            adj[u].append(v)
+            adj[v].append(u)
+            inc[u].append(i)
+            inc[v].append(i)
+        return tuple(map(tuple, adj)), tuple(map(tuple, inc))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
         # the edges are sorted pairs (u, v) with u < v, so each row gets its
         # lower neighbours, then its higher ones, both ascending: it is sorted
-        return tuple(map(tuple, adj))
+        return self._rows[0]
 
     @cached_property
     def incident_edges(self) -> tuple[tuple[int, ...], ...]:
         """Edge indices incident to each vertex, in canonical edge order."""
-        inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for i, (u, v) in enumerate(self.edges):
-            inc[u].append(i)
-            inc[v].append(i)
-        return tuple(tuple(a) for a in inc)
+        return self._rows[1]
 
     @cached_property
     def _components(self) -> tuple[list[list[int]], list[int], list[int]]:

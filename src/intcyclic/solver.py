@@ -154,6 +154,7 @@ class FeasibleSet:
 # static prefix, at least as long as the links), the degrees at edge ends,
 # each of which gets one window table per t, and per vertex the positions of
 # its edges, ascending, where the fail-first choice looks for the next edge
+# (None until a call chooses fail first; see _spots)
 SearchPlan = namedtuple("SearchPlan", "order ends twin early degrees spots")
 
 
@@ -197,14 +198,14 @@ def _search_plan(g: Graph) -> SearchPlan:
     The static prefix, `early`: the first max(2, len(links)) positions when
     deg(a) >= 2, else all of them.  The reflection cap and the twin links
     act only there, so decide()'s fail-first choice (slack m - t at most 8)
-    starts after it, reading `spots`, each vertex's positions in this order,
-    ascending, built here once per graph rather than at every call.  Starting
-    the choice after the whole star instead cuts the benchmark's scan nodes
-    by 22% rather than 34% (76,793 to 60,167, against 50,639)."""
+    starts after it, reading `spots`, each vertex's positions in this order
+    (see _spots).  Starting the choice after the whole star instead cuts the
+    benchmark's scan nodes by 22% rather than 34% (76,793 to 60,167, against
+    50,639)."""
     added = [False] * g.edge_count
     walks = g._components[0]
     if not walks:  # no vertex
-        return SearchPlan((), (), (), 0, frozenset(), ())
+        return SearchPlan((), (), (), 0, frozenset(), None)
     adjacency, incident, deg = g.adjacency, g.incident_edges, g.degrees
     a = walks[0][0]
     star = adjacency[a]
@@ -248,15 +249,25 @@ def _search_plan(g: Graph) -> SearchPlan:
     # only color used; past position 1 (a's second star edge, which cannot
     # take color 1) that needs a start vertex of degree 1.
     early = max(len(links), 2) if len(star) >= 2 else g.edge_count
-    ends = tuple(map(g.edges.__getitem__, order))
-    spots: list[list[int]] = [[] for _ in deg]
-    for p, (u, v) in enumerate(ends):
+    plan = vars(g)["_search_plan"] = SearchPlan(
+        tuple(order), tuple(map(g.edges.__getitem__, order)), tuple(links), early,
+        frozenset(deg) - {0}, None)
+    return plan
+
+
+def _spots(g: Graph, plan: SearchPlan) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's positions in the plan's order, ascending: the plan's
+    `spots`, built by the first decide() of a Graph that chooses fail first
+    and kept in its plan from then on.  Only that mode reads them, so a call
+    with more slack does not pay for them: on P_800 they are about half the
+    plan's cost."""
+    spots: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for p, (u, v) in enumerate(plan.ends):
         spots[u].append(p)
         spots[v].append(p)
-    plan = vars(g)["_search_plan"] = SearchPlan(
-        tuple(order), ends, tuple(links), early, frozenset(deg) - {0},
-        tuple(map(tuple, spots)))
-    return plan
+    kept = tuple(map(tuple, spots))
+    vars(g)["_search_plan"] = plan._replace(spots=kept)
+    return kept
 
 
 # The window table: (t, degree) -> {spectrum mask: allowed(mask, degree, t)
@@ -384,7 +395,8 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     m = g.edge_count
     if t > m:  # fewer edges than colors: nothing can be surjective
         return SolveOutcome(INFEASIBLE, t, None, 0, time.perf_counter() - start)
-    order, ends, twin, early, degrees, spots = vars(g).get("_search_plan") or _search_plan(g)
+    plan = vars(g).get("_search_plan") or _search_plan(g)
+    order, ends, twin, early, degrees, spots = plan
     deg = g.degrees
     # a vertex's free colors, allowed() less its spectrum: the per-degree
     # dicts of this process's window table for t, keyed on the spectrum mask
@@ -411,6 +423,7 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     # color 1 (color rotation)
     c = 1
     if tight <= 8:  # fail first, over per-vertex free colors (see above)
+        spots = spots or _spots(g, plan)
         free = [full] * g.vertex_count  # allowed() less the spectrum, per vertex
         held = list(held)
         at = list(held)  # the position of the edge at each plan position

@@ -14,7 +14,7 @@ from intcyclic import (
     validate_interval,
 )
 from intcyclic.coloring import mod_color
-from intcyclic.constructions import color_complete_bipartite_cyclic
+from intcyclic.constructions import color_complete_bipartite_cyclic, color_hypercube_cyclic
 from intcyclic.graphs import MAX_EDGE_COUNT
 
 import oracles
@@ -197,16 +197,36 @@ def colored_graphs(draw):
     return Graph(n, tuple(edges)), EdgeColoring(t, tuple(colors))
 
 
+def damaged_cube():
+    """The hypercube-cyclic 6 coloring (t = 20) with two colors changed:
+    edge 0 takes edge 1's color, a clash at vertex 0 that breaks vertex 1's
+    arc, and edge 100 moves up one color, a clash at both its ends."""
+    g, col = color_hypercube_cyclic(6)
+    colors = list(col.colors)
+    colors[0] = colors[1]
+    colors[100] = colors[100] % col.t + 1
+    return g, EdgeColoring(col.t, tuple(colors))
+
+
 # the validators against an independent statement of their report.
-# Examples a shortcut could get wrong: a clash at a degree-3 vertex whose
-# sorted span is still 2, (1, 1, 3); a wrap; an out-of-range color at a
-# vertex whose colors are otherwise consecutive
+# Examples at the edges of the validator's per-vertex set test (distinct,
+# in range, max - min < degree): a clash at a degree-3 vertex whose sorted
+# span is still 2, (1, 1, 3); wraps, (1, 3, 4) and (4, 1, 2), cyclic but not
+# interval; an out-of-range color at a vertex whose colors are otherwise
+# consecutive, (0, 1, 2) and (2, 3, 5); non-consecutive colors beside an
+# out-of-range one, (0, 2, 4), where no spectrum violation is reported; an
+# isolated vertex; and a large coloring with a few faults
 @given(colored_graphs())
 @example((make_complete_star(), EdgeColoring(3, (1, 1, 3))))
 @example((make_complete_star(), EdgeColoring(4, (1, 3, 4))))
 @example((make_complete_star(), EdgeColoring(5, (1, 4, 5))))
 @example((make_complete_star(), EdgeColoring(3, (0, 1, 2))))
+@example((make_complete_star(), EdgeColoring(4, (0, 2, 4))))
+@example((make_complete_star(), EdgeColoring(4, (2, 3, 5))))
+@example((make_complete_star(), EdgeColoring(4, (4, 1, 2))))
 @example((make_path(3), EdgeColoring(2, (2, 3))))
+@example((Graph(4, ((0, 1), (1, 2))), EdgeColoring(3, (3, 1))))
+@example(damaged_cube())
 def test_validators_agree_with_reference(case):
     g, col = case
     assert validate_cyclic(g, col).to_dict() == oracles.reference_validate(g, col, cyclic=True)

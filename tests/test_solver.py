@@ -30,7 +30,7 @@ from intcyclic import (
     validate_cyclic,
 )
 from intcyclic.bounds import degree_sum_obstruction, matching_floor, parity_obstruction
-from intcyclic.coloring import _cyclic_cover_len, mod_color
+from intcyclic.coloring import ValidationResult, Violation, _cyclic_cover_len, mod_color
 from intcyclic.graphs import all_trees_up_to, canonical_json, is_connected
 from intcyclic.noncolorable import Certificate
 from intcyclic.solver import (
@@ -98,6 +98,16 @@ class TestDecide:
         out = decide(make_cycle(6), 4)
         assert out.decision == FEASIBLE
         assert validate_cyclic(make_cycle(6), out.witness).valid
+
+    # the soundness guard after the search: a witness the validator rejects
+    # is an error, never an answer, in either slack mode
+    @pytest.mark.parametrize("g,t", [(make_cycle(6), 4), (make_cycle(20), 4)],
+                             ids=["slack-2", "slack-16"])
+    def test_invalid_witness_is_refused(self, monkeypatch, g, t):
+        bad = ValidationResult((Violation("not-proper", vertex=0, color=1),))
+        monkeypatch.setattr(solver, "validate_cyclic", lambda g, coloring: bad)
+        with pytest.raises(RuntimeError, match="search produced an invalid witness"):
+            decide(g, t)
 
     def test_budget_exhaustion_is_timeout(self):
         out = decide(make_complete(7), 8, node_budget=20_000)
