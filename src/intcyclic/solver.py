@@ -13,27 +13,29 @@ prefix of the star is chosen along the path: on entering a position, an
 unplaced edge beside the edge just placed with strictly fewer candidates
 takes the place of the plan's edge, and gives it back when the search
 leaves (see decide()).  The symmetry cuts below constrain only the static
-prefix, and the counting and coverage cuts hold in any order, so either
-order leaves every cut sound.  The search is an explicit-stack loop with no
-depth limit: each position keeps the bitset of its untried candidate
-colors and takes them lowest first.  A position's candidates are the
+prefix, and the counting, coverage and pair cuts hold in any order, so
+either order leaves every cut sound.  The search is an explicit-stack loop
+with no depth limit: each position keeps the bitset of its untried
+candidate colors and takes them lowest first.  A position's candidates are the
 colors free at both endpoints that keep each endpoint's spectrum inside
 some cyclic window of its degree size: each endpoint's allowed() window
 mask less its spectrum, read from one window table per process keyed on
 (t, degree, spectrum), which is cleared once it holds more than
-WINDOW_TABLE_CAP entries; no answer depends on its state (see _WINDOWS).
+WINDOW_TABLE_CAP bits; no answer depends on its state (see _WINDOWS).
 At a slack of 8 or less each vertex's entry is kept in a list along the
 path instead of looked up at every use.  Branches that cannot use all t
 colors are cut, by counting at every position and by coverage: each color
 not yet used must still be a candidate of some later edge, checked after
 every placement when the slack is at most 8, else after a placement in the
-first three fifths of the order (see decide()).  Three symmetry cuts keep
-only the lexicographically least coloring of each orbit (see decide()): the
-first edge is pinned to color 1 (color rotation), the first color other
-than 1 is capped at ceil((t+1)/2) (color reflection), and the edges from
-the first vertex to twin neighbours take increasing colors (twin order).
-Budget exhaustion is reported as a timeout outcome, never as
-infeasibility.  With a fixed budget and a single worker, results are
+first three fifths of the order.  At a slack of 8 or less the same walk
+also cuts when one later edge is the only candidate of two unused colors:
+Hall's condition for every pair of them (see decide()).  Three symmetry
+cuts keep only the lexicographically least coloring of each orbit (see
+decide()): the first edge is pinned to color 1 (color rotation), the first
+color other than 1 is capped at ceil((t+1)/2) (color reflection), and the
+edges from the first vertex to twin neighbours take increasing colors
+(twin order).  Budget exhaustion is reported as a timeout outcome, never
+as infeasibility.  With a fixed budget and a single worker, results are
 bit-identical run to run.
 
 feasible_set() and certify_noncolorable() settle the color counts of the
@@ -179,7 +181,8 @@ def _search_plan(g: Graph) -> SearchPlan:
     rest.  After the star, an edge inside N(a) has both ends' spectra begun,
     so it has the fewest candidates (Haralick & Elliott, Artif. Intell. 14,
     1980).  The symmetry cuts constrain only the star, which comes first,
-    and coverage and counting hold in any order, so each cut stays sound.
+    and coverage, pairs and counting hold in any order, so each cut stays
+    sound.
     A triangle-free graph has no edge inside N(a): its order is the visit
     order.
 
@@ -273,11 +276,38 @@ def _spots(g: Graph, plan: SearchPlan) -> tuple[tuple[int, ...], ...]:
 # The window table: (t, degree) -> {spectrum mask: allowed(mask, degree, t)
 # & ~mask}, shared by every decide() in this process.  Each value is a pure
 # function of its key, so no answer, node count or witness depends on what the
-# table holds.  decide() clears it at its start once it holds more than
-# WINDOW_TABLE_CAP entries, so a process holds at most the cap plus one call's
-# own growth.
-WINDOW_TABLE_CAP = 1 << 16
-_WINDOWS: dict[tuple[int, int], dict[int, int]] = {}
+# table holds.  Its size is counted in bits, t per entry at t, since a mask of
+# 20,000 bits costs as much as a thousand of 20: decide() clears the table at
+# its start once it holds more than WINDOW_TABLE_CAP bits, and a miss stores
+# its entry only while the table holds at most the cap (see _window), so a
+# process holds at most the cap plus one entry.  P_20000 at t = 19999 would
+# otherwise keep 39,998 entries of 20,000 bits, about 78 MB, for every later
+# call.  At t <= 16 the cap allows 65,536 entries or more; the benchmark's
+# search workload peaks near 100,000 bits.
+WINDOW_TABLE_CAP = 1 << 20
+
+
+class _WindowTable(dict):
+    """The window table, with the bits of the entries _window stored since
+    it was last cleared, so a call reads its size without a walk."""
+    bits = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.bits = 0
+
+
+_WINDOWS = _WindowTable()
+
+
+def _window(table: dict[int, int], mask: int, d: int, t: int) -> int:
+    """A window-table miss: allowed() less the mask, stored in the table
+    while it holds at most WINDOW_TABLE_CAP bits."""
+    free = allowed(mask, d, t) & ~mask
+    if _WINDOWS.bits <= WINDOW_TABLE_CAP:
+        table[mask] = free
+        _WINDOWS.bits += t
+    return free
 
 
 def allowed(mask: int, d: int, t: int) -> int:
@@ -304,10 +334,11 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
 
     Two modes, chosen once per call from the slack m - t.  At a slack of 8
     or less, past the static prefix (the plan's first `early` positions),
-    the next edge is chosen fail first, and coverage is checked after every
-    placement, over per-vertex free colors kept along the path.  Above 8,
-    the search takes the plan's order as it is, reads candidates from the
-    window table, and checks coverage after placements at pos < 3m // 5.
+    the next edge is chosen fail first, and coverage and pairs are checked
+    after every placement, over per-vertex free colors kept along the path.
+    Above 8, the search takes the plan's order as it is, reads candidates
+    from the window table, and checks coverage alone after placements at
+    pos < 3m // 5.
 
     Symmetry cuts, and why together they keep every decision.  Let G be the
     group generated by the color rotations c -> c+k (mod t), the reflection
@@ -347,9 +378,9 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     14, 1980; Brelaz, CACM 22, 1979).  The winner trades places with the
     held edge, and they trade back when the search leaves the position, so
     the arrangement is a function of the current path alone, and a search
-    without the twin and coverage cuts that follows the same rule searches
-    a supertree of this tree.  Each vertex's free colors, allowed() less its
-    spectrum, are kept in a list, set on placement and restored on
+    without the twin, coverage and pair cuts that follows the same rule
+    searches a supertree of this tree.  Each vertex's free colors, allowed()
+    less its spectrum, are kept in a list, set on placement and restored on
     backtrack, so an edge's candidates are the AND of its ends' entries and
     neither the choice nor the coverage walk reads the window table.
 
@@ -368,6 +399,48 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     every color, and the last edges are the likeliest to have them.  Since
     it stops, it would not cut a complete coloring even at the last
     position, which has no later edge.
+
+    Pair cut, at a slack of 8 or less.  The unused colors need distinct
+    later edges, a matching that saturates them (Hall, J. London Math. Soc.
+    10, 1935; as a global cardinality constraint, Regin, AAAI 1996).
+    Coverage is Hall's condition for each single color; the pair cut adds it
+    for each pair: if one later edge r is the only later candidate of two
+    unused colors, the branch is cut.  Sound by the coverage argument:
+    candidate sets only shrink on the way down, so no other edge can come
+    to take either color, and r takes one color.  It keeps the search order,
+    so the first witness is the same and no node count goes up.  The
+    coverage walk counts each unused color's later edges up to two and
+    stops once every unused color has two; a color with none cuts as
+    before.  When two or more have exactly one, a second walk from the last
+    position looks for an edge that is the only one of two of them; it
+    stops once it has seen the edge of each.
+
+    Measured against coverage alone: nodes on the benchmark's scan (150
+    graphs on 5-7 vertices, 20k nodes per t), structure and search
+    workloads at seed 101.  Time for the kept cut is from 10 benchmark pairs
+    of 25 s; the exact matching is a prototype, not kept, timed in 3 pairs
+    of 10 s; the last row times each search item's decide() in-process,
+    best of 5, summed:
+
+        variant                     scan  structure   search  time
+        coverage alone            50,639     13,353  417,437  -
+        pair cut, slack <= 8      41,357     11,286  416,078  scan items/s
+                                                              -2.9%, p90
+                                                              +7.7%
+        exact matching where the  40,005      7,699        -  scan items/s
+          later edges outnumber                               -15%, p90
+          the unused colors by                                +23%
+          at most 2, slack <= 8
+        pair cut also at slack    41,357     11,286  392,688  search sum
+          > 8, at pos < 3m // 5                               +29%
+
+    The pair cut at slack <= 8 takes the 995 connected graphs on 2-7
+    vertices at a 1M budget from 1,112,989 nodes to 808,994, with every
+    decision and witness the same.  At slack > 8 it would take K_8 at
+    t = 14 from 883,676 nodes to 280,026 (t = 15: 136,798 to 27,290;
+    t = 16: 31,465 to 4,767; t = 13 still runs past 1M), but the search
+    workload's summed decide() time rises 29%, so that loop keeps coverage
+    alone.
 
     Why the slack split.  With little slack few edges may repeat a color,
     so an unused color is soon left without a later edge and the coverage
@@ -400,9 +473,9 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     deg = g.degrees
     # a vertex's free colors, allowed() less its spectrum: the per-degree
     # dicts of this process's window table for t, keyed on the spectrum mask
-    # and filled on first use.  It is cleared here once over the cap, and no
-    # answer depends on its state (see _WINDOWS)
-    if sum(map(len, _WINDOWS.values())) > WINDOW_TABLE_CAP:
+    # and filled on first use (see _window).  It is cleared here once over
+    # the cap, and no answer depends on its state (see _WINDOWS)
+    if _WINDOWS.bits > WINDOW_TABLE_CAP:
         _WINDOWS.clear()
     windows = {d: _WINDOWS.setdefault((t, d), {}) for d in degrees}
     # one tuple per position: its edge's ends and their window dicts
@@ -465,17 +538,37 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
             try:
                 free[u] = tu[mu]
             except KeyError:
-                free[u] = tu[mu] = allowed(mu, deg[u], t) & ~mu
+                free[u] = _window(tu, mu, deg[u], t)
             try:
                 free[v] = tv[mv]
             except KeyError:
-                free[v] = tv[mv] = allowed(mv, deg[v], t) & ~mv
-            need = full & ~used  # coverage, after every placement
+                free[v] = _window(tv, mv, deg[v], t)
+            # coverage and pairs, after every placement: walking the later
+            # edges from the last, once gathers their candidates and rest
+            # keeps the unused colors that fewer than two of them can take
+            rest = full & ~used
+            once = 0
             r = m - 1
-            while need and r > pos:
+            while rest and r > pos:
                 x, y, _, _ = slots[r]
-                need &= ~(free[x] & free[y])
+                f = free[x] & free[y]
+                rest &= ~(once & f)
+                once |= f
                 r -= 1
+            need = rest & ~once  # unused colors that no later edge can take
+            if not need and rest & (rest - 1):
+                # two or more colors with one later edge each: cut if two
+                # share it.  Each leaves rest at its edge, so rest is empty
+                # by position pos + 1
+                r = m - 1
+                while rest:
+                    x, y, _, _ = slots[r]
+                    f = free[x] & free[y] & rest
+                    if f & (f - 1):
+                        need = f
+                        break
+                    rest ^= f
+                    r -= 1
             if need:  # cut (counted as a node)
                 vmask[u] ^= bit
                 vmask[v] ^= bit
@@ -550,11 +643,11 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
                     try:
                         fx = tx[mx]
                     except KeyError:
-                        fx = tx[mx] = allowed(mx, deg[x], t) & ~mx
+                        fx = _window(tx, mx, deg[x], t)
                     try:
                         fy = ty[my]
                     except KeyError:
-                        fy = ty[my] = allowed(my, deg[y], t) & ~my
+                        fy = _window(ty, my, deg[y], t)
                     need &= ~(fx & fy)
                     r -= 1
                 if need:  # cut (counted as a node)
@@ -574,11 +667,11 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
             try:
                 fu = tu[mu]
             except KeyError:
-                fu = tu[mu] = allowed(mu, deg[u], t) & ~mu
+                fu = _window(tu, mu, deg[u], t)
             try:
                 fv = tv[mv]
             except KeyError:
-                fv = tv[mv] = allowed(mv, deg[v], t) & ~mv
+                fv = _window(tv, mv, deg[v], t)
             c = fu & fv  # colors are tried in ascending order
             if pos < early:
                 if used == 1:  # color reflection: cap at ceil((t+1)/2)

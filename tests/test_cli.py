@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SHOWN_RECORD = re.compile(r'\{[^{}]*"decision"[^{}]*\}')  # one per-t record, in full
+SHOWN_FIELD = re.compile(r'"(range|members|exhausted|timed_out|nodes_explored)":\s*'
+                         r'(\[[^\]]*\]|true|false|\d+)')
+
+
+def readme_feasible_sets():
+    """Each feasible set the README shows, as (gen arguments, the text shown):
+    the `solve --feasible-set` examples of its shell blocks, with the `gen`
+    call that made their graph file, and the feasible-set record of its file
+    formats, whose graph is the C_5 shown there."""
+    text = README.read_text(encoding="utf-8")
+    shown = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        gens = re.findall(r"intcyclic gen (.+) -o (\S+)", block)
+        made = {path: args.split() for args, path in gens}
+        solves = re.findall(r"intcyclic solve -g (\S+) --feasible-set\n((?:# .*\n)+)", block)
+        shown += [pytest.param(made[path], out, id=path) for path, out in solves]
+    record = text.split("// feasible set:")[1].split("\n//")[0]
+    shown.append(pytest.param(["cycle", "5"], record, id="file-format"))
+    return shown
 
 
 class TestGen:
@@ -286,6 +311,22 @@ class TestSolve:
                                         "source": "degree-sum", "nodes_explored": 0}
         assert [d["source"] for d in data["decisions"][1:]] == ["search"] * 2 + ["degree-sum"] * 3
         assert all(d["nodes_explored"] == 0 for d in data["decisions"][3:])
+
+    @pytest.mark.parametrize("family,shown", readme_feasible_sets())
+    def test_readme_examples_match_the_cli(self, tmp_path, capsys, family, shown):
+        # every per-t record the README shows in full, and every top-level
+        # field it shows, is what the CLI prints
+        g_path = str(tmp_path / "g.json")
+        assert run(capsys, "gen", *family, "-o", g_path)[0] == 0
+        code, out, _ = run(capsys, "solve", "-g", g_path, "--feasible-set")
+        data = json.loads(out)
+        by_t = {d["t"]: d for d in data["decisions"]}
+        records = [json.loads(r) for r in SHOWN_RECORD.findall(shown)]
+        fields = SHOWN_FIELD.findall(SHOWN_RECORD.sub("", shown))
+        assert code == 0 and {"members", "range"} <= {name for name, _ in fields}
+        assert [by_t.get(r["t"]) for r in records] == records
+        assert [(name, data[name]) for name, _ in fields] == \
+            [(name, json.loads(value)) for name, value in fields]
 
     def test_single_t_feasible(self, tmp_path, capsys):
         g_path = tmp_path / "c5.json"

@@ -126,17 +126,17 @@ class TestDecide:
     # order, color order and pruning.  The kstar rows sit on both sides of
     # the slack split: m - t = 9 keeps the static order and the 3m // 5
     # coverage gate, and m - t = 8 chooses edges fail first and checks
-    # coverage after every placement, as every other row here does
+    # coverage and pairs after every placement, as every other row here does
     @pytest.mark.parametrize("g,t,decision,nodes,colors", [
-        (make_complete(5), 7, INFEASIBLE, 68, None),
-        (make_hypercube(3), 8, FEASIBLE, 50, (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)),
+        (make_complete(5), 7, INFEASIBLE, 66, None),
+        (make_hypercube(3), 8, FEASIBLE, 30, (1, 2, 3, 8, 7, 1, 3, 7, 5, 4, 6, 5)),
         (make_gdn(4, 4), 10, FEASIBLE, 16, (1, 2, 3, 4, 8, 9, 10, 5, 6, 7, 3, 4)),
-        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 90, None),
-        (make_complete(6), 8, FEASIBLE, 59,
+        (make_complete_tripartite(1, 2, 3), 8, INFEASIBLE, 87, None),
+        (make_complete(6), 8, FEASIBLE, 58,
          (1, 2, 3, 4, 5, 3, 2, 5, 4, 1, 8, 7, 7, 8, 6)),
         (make_tree_hat(make_hub_tree(2, 2)), 5, FEASIBLE, 11, (5, 1, 2, 1, 2, 3, 1, 2, 3, 4)),
         (make_kstar(2, 7), 9, INFEASIBLE, 28_048, None),
-        (make_kstar(2, 7), 10, INFEASIBLE, 8_232, None),
+        (make_kstar(2, 7), 10, INFEASIBLE, 7_908, None),
     ], ids=["K5", "Q3", "G4-4", "K1-2-3", "K6", "hub-tree-hat", "kstar-2-7-slack9",
             "kstar-2-7-slack8"])
     def test_pinned_node_counts(self, g, t, decision, nodes, colors):
@@ -233,6 +233,11 @@ def window_entries():
     return sum(map(len, solver._WINDOWS.values()))
 
 
+def window_bits():
+    # the table's size in the cap's unit: t bits per entry of a table for t
+    return sum(len(table) * t for (t, _), table in solver._WINDOWS.items())
+
+
 @functools.cache
 def warm_windows():
     """The window table after a scan of graphs unrelated to the ones tested,
@@ -255,8 +260,9 @@ def graphs_up_to_seven(draw):
 class TestWindowTable:
     """decide() reads its allowed() sets from one table per process, keyed on
     (t, degree, spectrum).  A value is a pure function of its key, so what
-    the table holds changes no answer, and it is cleared once it holds more
-    than solver.WINDOW_TABLE_CAP entries."""
+    the table holds changes no answer.  It is cleared once it holds more
+    than solver.WINDOW_TABLE_CAP bits, t per entry at t, and takes no entry
+    while it holds more."""
 
     @staticmethod
     def answers(g, t, budget):
@@ -303,17 +309,28 @@ class TestWindowTable:
             (first.nodes_explored, first.witness)
 
     def test_cleared_once_over_the_cap(self, monkeypatch):
-        monkeypatch.setattr(solver, "WINDOW_TABLE_CAP", 100)
+        monkeypatch.setattr(solver, "WINDOW_TABLE_CAP", 1_000)
         small = make_cycle(5)
         solver._WINDOWS.clear()
         decide(small, 3)
         alone = {key: dict(table) for key, table in solver._WINDOWS.items()}
         decide(small, 4)  # under the cap: kept, and added to
         assert window_entries() > sum(map(len, alone.values()))
-        decide(make_complete_bipartite(2, 40), 42)  # 129 entries of its own
-        assert window_entries() > solver.WINDOW_TABLE_CAP
+        decide(make_complete_bipartite(2, 40), 42)  # 129 entries of 42 bits of its own
+        assert window_bits() > solver.WINDOW_TABLE_CAP
         decide(small, 3)  # starts from an empty table
         assert solver._WINDOWS == alone
+
+    def test_wide_entries_stay_within_the_cap(self):
+        # P_3000 at t = 2999 misses the table at every placement, each entry
+        # 2,999 bits wide: 5,998 of them, about 18M bits, without the bound.
+        # The table stops taking entries once over the cap, and the next
+        # call starts from an empty one
+        solver._WINDOWS.clear()
+        assert decide(make_path(3000), 2999).decision == FEASIBLE
+        assert solver.WINDOW_TABLE_CAP < window_bits() <= solver.WINDOW_TABLE_CAP + 2999
+        decide(make_complete(5), 5)
+        assert set(solver._WINDOWS) == {(5, 4)} and window_bits() < 1_000
 
     def test_no_table_for_a_degree_without_edges(self):
         # a triangle and two isolated vertices: tables for degree 2 only
@@ -430,7 +447,7 @@ class TestTwinOrder:
         ref, new = map(sum, zip(*(check_against_reference(g, 200_000) for g in graphs)))
         assert new < ref // 3
         # exact: a change that only speeds the kernel up leaves every node count as it is
-        assert (ref, new) == (92_813, 26_114)
+        assert (ref, new) == (92_813, 22_254)
 
     def test_bfs_order_keeps_every_decision_on_atlas(self, atlas):
         # the reference in the old BFS order and in the search's order decide
@@ -473,10 +490,16 @@ def connected_graphs(draw):
     return Graph(n, tuple(edges | draw(st.sets(st.sampled_from(pairs)))))
 
 
+# dense graphs on 7 vertices where the pair cut fires at slack 8 or less:
+# K_{1,2,4} at t = 8 to 14, and a 14-edge graph whose t = 9 search it takes
+# from 1,535 nodes to 1,352
 @given(connected_graphs())
+@example(make_complete_tripartite(1, 2, 4))
+@example(Graph(7, ((0, 2), (0, 4), (0, 5), (0, 6), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4),
+                   (2, 6), (3, 4), (4, 5), (4, 6), (5, 6))))
 def test_coverage_cut_agrees_with_reference(g):
-    # the reference has no coverage cut: a cut that removed a witness or
-    # added a node shows here
+    # the reference has neither the coverage nor the pair cut: a cut that
+    # removed a witness or added a node shows here
     check_against_reference(g, 3_000)
 
 
@@ -518,7 +541,7 @@ def test_feasible_set_bytes_are_frozen():
         digest.update(canonical_json(fs.to_dict()).encode())
         nodes += fs.nodes_explored
         timeouts += len(fs.timed_out)
-    assert (nodes, timeouts, digest.hexdigest()[:16]) == (320_805, 0, "422e9684d318d8a1")
+    assert (nodes, timeouts, digest.hexdigest()[:16]) == (246_629, 0, "90451579e5e8bef7")
 
 
 @st.composite
@@ -624,7 +647,7 @@ class TestDegreeSumPlanner:
         sets = [feasible_set(g, node_budget=1_000_000) for g in graphs]
         settled = [d for fs in sets for d in fs.decisions if d.source == "degree-sum"]
         assert len(settled) == 295
-        assert sum(fs.nodes_explored for fs in sets) == 1_112_989
+        assert sum(fs.nodes_explored for fs in sets) == 808_994
         assert sum(len(fs.timed_out) for fs in sets) == 0
 
 
@@ -849,11 +872,11 @@ def test_seven_clique_gap():
 # m >= 12) do not reach: each range ends at |E|, so no upper bound settles
 # these sets, and a set with no member refutes every t by exhaustive search
 @pytest.mark.parametrize("m,members,nodes", [
-    (6, (7,), 57_626),
-    (7, (), 61_504),
-    (8, (), 68_393),
-    (9, (), 84_958),
-    (10, (), 117_342),
+    (6, (7,), 53_418),
+    (7, (), 56_266),
+    (8, (), 62_183),
+    (9, (), 77_760),
+    (10, (), 109_206),
 ], ids=["m6", "m7", "m8", "m9", "m10"])
 def test_small_kstar_feasible_sets(m, members, nodes):
     fs = feasible_set(make_kstar(2, m), node_budget=1_000_000)
