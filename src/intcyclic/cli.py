@@ -221,15 +221,14 @@ def _cmd_scan(args) -> int:
     return EXIT_NEGATIVE if report.counterexamples else EXIT_OK
 
 
-def _hsv_ramp(c: int, t: int) -> str:
-    return f"{(c - 1) / max(t, 1):.3f} 0.900 0.800"
-
-
 def _cmd_export_dot(args) -> int:
     g = _load(args.graph)
     coloring = _load(args.coloring, EdgeColoring) if args.coloring else None
     if coloring is not None and len(coloring.colors) != g.edge_count:
         raise CliError("coloring does not match the graph's edge count")
+    # each color c in [1, t] gets the hue (c - 1) / t of an HSV ramp
+    if coloring is not None and not all(0 < c <= coloring.t for c in coloring.colors):
+        raise CliError(f"coloring has a color outside [1, {coloring.t}]")
     lines = ["graph {"]
     for v in range(g.vertex_count):
         label = g.labels[v] if g.labels else str(v)
@@ -240,8 +239,8 @@ def _cmd_export_dot(args) -> int:
             lines.append(f"  {u} -- {v};")
         else:
             c = coloring.colors[i]
-            lines.append(
-                f'  {u} -- {v} [label="{c}", color="{_hsv_ramp(c, coloring.t)}"];')
+            lines.append(f'  {u} -- {v} [label="{c}", '
+                         f'color="{(c - 1) / coloring.t:.3f} 0.900 0.800"];')
     lines.append("}")
     _write((args.output, "\n".join(lines) + "\n"))
     return EXIT_OK

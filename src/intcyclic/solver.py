@@ -15,8 +15,9 @@ takes the place of the plan's edge, and gives it back when the search
 leaves (see decide()).  The symmetry cuts below constrain only the static
 prefix, and the counting, coverage and pair cuts hold in any order, so
 either order leaves every cut sound.  The search is an explicit-stack loop
-with no depth limit: each position keeps the bitset of its untried
-candidate colors and takes them lowest first.  A position's candidates are the
+with no depth limit: each placed position keeps one record, a tuple of its
+color, its untried candidate colors and the colors used before it, and
+candidates are taken lowest first.  A position's candidates are the
 colors free at both endpoints that keep each endpoint's spectrum inside
 some cyclic window of its degree size: each endpoint's allowed() window
 mask less its spectrum, read from one window table per process keyed on
@@ -381,8 +382,10 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     without the twin, coverage and pair cuts that follows the same rule
     searches a supertree of this tree.  Each vertex's free colors, allowed()
     less its spectrum, are kept in a list, set on placement and restored on
-    backtrack, so an edge's candidates are the AND of its ends' entries and
-    neither the choice nor the coverage walk reads the window table.
+    backtrack from the position's record, which holds its ends' entries
+    before the placement, so an edge's candidates are the AND of its ends'
+    entries and neither the choice nor the coverage walk reads the window
+    table.
 
     Coverage cut, and why it is sound.  After a placement at position pos,
     every color not yet used must be a candidate of some later edge r,
@@ -484,11 +487,10 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
     tight = m - t  # the first k > tight edges must use at least k - tight colors
     full = (1 << t) - 1
     vmask = [0] * g.vertex_count
-    # what each position below the current one keeps: its color, its untried
-    # candidates and the colors used before it
-    bits = [0] * m
-    cands = [0] * m
-    used_at = [0] * m
+    # one record per position below the current one: its color, its untried
+    # candidates and the colors used before it, and at a slack of 8 or less
+    # its ends' free colors before its placement
+    kept = [None] * m
     held = range(m)  # the plan position of the edge at each position
     pos = nodes = before = 0  # before: colors used before the current position
     u, v, tu, tv = slots[0]
@@ -501,8 +503,6 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
         held = list(held)
         at = list(held)  # the position of the edge at each plan position
         swapped = [0] * m  # the position whose edge a position took, or 0
-        free_u = [0] * m  # its ends' free colors before a position's placement
-        free_v = [0] * m
         while True:
             if not c:
                 if pos == 0:
@@ -515,13 +515,9 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
                     slots[pos], slots[r] = slots[r], slots[pos]
                 pos -= 1
                 u, v, tu, tv = slots[pos]
-                bit = bits[pos]
+                bit, c, before, free[u], free[v] = kept[pos]
                 vmask[u] ^= bit
                 vmask[v] ^= bit
-                free[u] = free_u[pos]
-                free[v] = free_v[pos]
-                c = cands[pos]
-                before = used_at[pos]
                 continue
             bit = c & -c
             c ^= bit
@@ -575,11 +571,7 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
                 free[u] = fu
                 free[v] = fv
                 continue
-            bits[pos] = bit
-            cands[pos] = c
-            used_at[pos] = before
-            free_u[pos] = fu
-            free_v[pos] = fv
+            kept[pos] = (bit, c, before, fu, fv)
             pos += 1
             if pos == m:
                 break
@@ -608,7 +600,7 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
                 if used == 1:  # color reflection: cap at ceil((t+1)/2)
                     c &= capped
                 if pos < len(twin) and twin[pos] >= 0:  # above the earlier twin's color
-                    c &= -(bits[twin[pos]] << 1)
+                    c &= -(kept[twin[pos]][0] << 1)
     else:
         gate = 3 * m // 5  # the coverage check runs after placements at earlier positions
         while True:
@@ -617,11 +609,9 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
                     return SolveOutcome(INFEASIBLE, t, None, nodes, time.perf_counter() - start)
                 pos -= 1
                 u, v, _, _ = slots[pos]
-                bit = bits[pos]
+                bit, c, before = kept[pos]
                 vmask[u] ^= bit
                 vmask[v] ^= bit
-                c = cands[pos]
-                before = used_at[pos]
                 continue
             bit = c & -c
             c ^= bit
@@ -654,9 +644,7 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
                     vmask[u] ^= bit
                     vmask[v] ^= bit
                     continue
-            bits[pos] = bit
-            cands[pos] = c
-            used_at[pos] = before
+            kept[pos] = (bit, c, before)
             pos += 1
             if pos == m:
                 break
@@ -677,10 +665,10 @@ def decide(g: Graph, t: int, node_budget: Optional[int] = None) -> SolveOutcome:
                 if used == 1:  # color reflection: cap at ceil((t+1)/2)
                     c &= capped
                 if pos < len(twin) and twin[pos] >= 0:  # above the earlier twin's color
-                    c &= -(bits[twin[pos]] << 1)
+                    c &= -(kept[twin[pos]][0] << 1)
     colors = [0] * m
     for pos, p in enumerate(held):
-        colors[order[p]] = bits[pos].bit_length()
+        colors[order[p]] = kept[pos][0].bit_length()
     witness = EdgeColoring(t, tuple(colors))
     check = validate_cyclic(g, witness)
     if not check.valid:  # soundness guard; must never fire

@@ -468,6 +468,17 @@ class TestBoundsCertifyScanDot:
         assert '  0 [label="a\\"b"];' in stdout.splitlines()
         assert '  1 [label="c\\\\d"];' in stdout.splitlines()
 
+    # a color outside [1, t] has no hue on the ramp: refused, nothing written
+    @pytest.mark.parametrize("colors", [[0, 7], [0, 1], [1, 3]], ids=["both", "zero", "above-t"])
+    def test_export_dot_color_out_of_range(self, tmp_path, capsys, colors):
+        g_path, c_path, out = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "g.dot"
+        run(capsys, "gen", "path", "3", "-o", str(g_path))
+        c_path.write_text(json.dumps({"t": 2, "colors": colors}))
+        code, stdout, err = run(capsys, "export-dot", "-g", str(g_path), "-c", str(c_path),
+                                "-o", str(out))
+        assert code == EXPECTED_FORMAT_ERROR and stdout == "" and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "[1, 2]" in err
+
     # a 30-byte coloring file with t = 10**12 would make the validator list
     # 10**12 unused colors; the patches fail at once if a verb got that far
     @pytest.mark.parametrize("verb", ["check", "mod-reduce", "export-dot"])
