@@ -45,6 +45,15 @@ def _load(path: str, cls=Graph) -> Graph | EdgeColoring:
         raise CliError(f"bad {kind} file {path}: {exc}")
 
 
+def _load_coloring(path: str, g: Graph) -> EdgeColoring:
+    """A coloring file for g, refused (exit 2) unless it has one color per edge."""
+    coloring = _load(path, EdgeColoring)
+    if len(coloring.colors) != g.edge_count:
+        raise CliError(f"coloring has {len(coloring.colors)} colors, "
+                       f"not the graph's edge count {g.edge_count}")
+    return coloring
+
+
 def _write(*outputs: tuple[str | None, str]) -> None:
     # each (path, text) goes to its file, or to stdout for None or "-"; files
     # go first, and a failed write removes the files already written, so it
@@ -146,7 +155,7 @@ def _cmd_color(args) -> int:
         if not (args.graph and args.coloring_in and args.t):
             raise CliError("color mod-reduce needs -g GRAPH --input-coloring ALPHA --t T")
         g = _load(args.graph)
-        alpha = _load(args.coloring_in, EdgeColoring)
+        alpha = _load_coloring(args.coloring_in, g)
         try:
             coloring = cons.mod_reduce(g, alpha, args.t)
         except ValueError as exc:
@@ -166,7 +175,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _load(args.graph)
-    coloring = _load(args.coloring, EdgeColoring)
+    coloring = _load_coloring(args.coloring, g)
     validator = validate_cyclic if args.mode == "cyclic" else validate_interval
     result = validator(g, coloring)
     sys.stdout.write(canonical_json(result.to_dict()))
@@ -223,9 +232,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     g = _load(args.graph)
-    coloring = _load(args.coloring, EdgeColoring) if args.coloring else None
-    if coloring is not None and len(coloring.colors) != g.edge_count:
-        raise CliError("coloring does not match the graph's edge count")
+    coloring = _load_coloring(args.coloring, g) if args.coloring else None
     # each color c in [1, t] gets the hue (c - 1) / t of an HSV ramp
     if coloring is not None and not all(0 < c <= coloring.t for c in coloring.colors):
         raise CliError(f"coloring has a color outside [1, {coloring.t}]")

@@ -5,6 +5,11 @@ it is proper, uses every color in [1, t] at least once, and the color set at
 each vertex occupies consecutive positions on the color circle 1..t (wrapping
 from t back to 1 is allowed).  The *interval* variant forbids the wrap.
 
+One rule, _is_arc, decides whether a set of colors in [1, t] is one arc of
+the circle: at most one of its colors lacks its successor c % t + 1, since
+each further run of the circle adds one such color.  spectrum_report,
+is_cyclic_interval and the validators all use it.
+
 The validators report every violation (see _validate), and decide() runs
 them on every witness it returns, so their cost is paid once per feasible
 search.  Each vertex v gets one set of its colors: when it holds d(v)
@@ -95,11 +100,10 @@ class SpectrumReport:
 def spectrum_report(g: Graph, coloring: EdgeColoring, v: int) -> SpectrumReport:
     """Classify the spectrum of v: plain interval, cyclic interval, or
     neither (a plain interval is always also cyclic)."""
-    s = sorted(spectrum(g, coloring, v))
-    in_range = all(1 <= c <= coloring.t for c in s)
-    plain = in_range and is_integer_interval(s)
-    cyclic = in_range and _cyclic_cover_len(s, coloring.t) <= len(s)
-    return SpectrumReport(v, tuple(s), plain, cyclic)
+    seen = spectrum(g, coloring, v)
+    in_range = all(1 <= c <= coloring.t for c in seen)
+    plain = in_range and is_integer_interval(seen)
+    return SpectrumReport(v, tuple(sorted(seen)), plain, in_range and _is_arc(seen, coloring.t))
 
 
 @dataclass(frozen=True)
@@ -166,23 +170,19 @@ def is_cyclic_interval(colors: Iterable[int], d: int, t: int) -> bool:
     A full set (d = t) always qualifies.  Raises ValueError when the set is
     not a size-d subset of [1, t].
     """
-    s = sorted(set(colors))
+    s = set(colors)
     if len(s) != d:
         raise ValueError("color set size does not match d")
-    if s and not (1 <= s[0] and s[-1] <= t):
+    if s and not (1 <= min(s) and max(s) <= t):
         raise ValueError("colors outside [1, t]")
-    return _cyclic_cover_len(s, t) <= d
+    return _is_arc(s, t)
 
 
-def _cyclic_cover_len(sorted_colors: list[int], t: int) -> int:
-    """Length of the shortest cyclic window of [1, t] containing the set."""
-    k = len(sorted_colors)
-    if k == 0:
-        return 0
-    max_gap = sorted_colors[0] + t - sorted_colors[-1]
-    for a, b in zip(sorted_colors, sorted_colors[1:]):
-        max_gap = max(max_gap, b - a)
-    return t - max_gap + 1
+def _is_arc(colors: set[int] | frozenset[int], t: int) -> bool:
+    """True when the colors, all in [1, t], are one arc of the color circle:
+    at most one of them lacks its successor c % t + 1 (the empty set and the
+    full circle qualify)."""
+    return len({c % t + 1 for c in colors} & colors) >= len(colors) - 1
 
 
 def validate_cyclic(g: Graph, coloring: EdgeColoring) -> ValidationResult:
@@ -219,10 +219,9 @@ def _validate(g: Graph, coloring: EdgeColoring, cyclic: bool) -> ValidationResul
         lo, hi = min(seen), max(seen)
         if len(seen) == d and 1 <= lo and hi <= t:
             # proper and in range: d distinct colors spanning fewer than d + 1
-            # values are consecutive, an interval in both modes.  Otherwise
-            # they are one arc of the circle when at most one of them lacks
-            # its successor c % t + 1 (each further run adds one)
-            if hi - lo >= d and (not cyclic or len({c % t + 1 for c in seen} & seen) < d - 1):
+            # values are consecutive, an interval in both modes; a wider set
+            # is cyclic only when it is one arc of the circle
+            if hi - lo >= d and (not cyclic or not _is_arc(seen, t)):
                 violations.append(Violation(kind, vertex=v))
             continue
         # a clash or a color out of range, where the spectrum means nothing:

@@ -463,14 +463,6 @@ def _check_size(family: str, vertices: int, edges: int) -> None:
                          f"the limits are {MAX_VERTEX_COUNT} and {MAX_EDGE_COUNT}")
 
 
-def _check_hypercube_size(n: int) -> None:
-    """Refuse an n-cube over the limits, without computing 2**n for a huge n."""
-    if n >= MAX_VERTEX_COUNT.bit_length():  # 2**n is over the limit
-        raise GraphError(f"hypercube of dimension {n} would have more than "
-                         f"{MAX_VERTEX_COUNT} vertices")
-    _check_size("hypercube", 1 << n, n * (1 << n) // 2)
-
-
 def make_cycle(n: int) -> Graph:
     """Simple cycle on n >= 3 vertices."""
     if n < 3:
@@ -529,8 +521,12 @@ def make_hypercube(n: int) -> Graph:
     bitstring of i (character j = bit j)."""
     if n < 1:
         raise GraphError("hypercube needs n >= 1")
-    _check_hypercube_size(n)
+    # refused before anything is built, and without computing 2**n for a huge n
+    if n >= MAX_VERTEX_COUNT.bit_length():  # 2**n is over the limit
+        raise GraphError(f"hypercube of dimension {n} would have more than "
+                         f"{MAX_VERTEX_COUNT} vertices")
     size = 1 << n
+    _check_size("hypercube", size, n * size // 2)
     edges = [(v, v ^ (1 << b)) for v in range(size) for b in range(n) if not v >> b & 1]
     labels = tuple("".join(str(v >> b & 1) for b in range(n)) for v in range(size))
     return Graph(size, tuple(edges), labels)

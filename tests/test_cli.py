@@ -217,7 +217,7 @@ class TestColorCheck:
 
     # refused in closed form: the tripartite colorer would list 3*10^6 edges,
     # and the cube colorers would build a 40-cube; the patches make either
-    # fail at once if it started building
+    # fail at once if it built a graph or checked a base cube
     @pytest.mark.parametrize("argv", [("tripartite", "1000", "1000", "1000"),
                                       ("hypercube-interval", "40"),
                                       ("hypercube-cyclic", "40")])
@@ -228,8 +228,9 @@ class TestColorCheck:
             raise AssertionError("construction started before its size check")
 
         monkeypatch.setattr(constructions, "Graph", built)
-        monkeypatch.setattr(constructions, "make_hypercube", built)
+        monkeypatch.setattr(graphs, "Graph", built)
         monkeypatch.setattr(constructions, "_check_base_step", built)
+        monkeypatch.setattr(constructions, "hypercube_base_interval", built)
         code, stdout, err = run(capsys, "color", *argv)
         assert code == EXPECTED_FORMAT_ERROR and stdout == ""
         assert "limits" in err or "more than" in err
@@ -637,6 +638,8 @@ def test_zero_budget_is_legal(tmp_path, capsys):
      "needs -g GRAPH"),
     (("scan", "--corpus", "G"), "not a directory"),
     (("export-dot", "-g", "G", "-c", "C", "-o", "OUT"), "edge count"),
+    (("color", "mod-reduce", "-g", "G", "--input-coloring", "C", "--t", "2", "-c", "OUT"),
+     "edge count"),
     # each family's own check, below its smallest member
     (("gen", "complete", "0"), "n >= 1"),
     (("gen", "complete-bipartite", "0", "3"), "m, n >= 1"),
@@ -649,9 +652,9 @@ def test_zero_budget_is_legal(tmp_path, capsys):
 ], ids=["gen-non-integer", "gen-tree-hat-no-graph", "kstar-no-m", "kstar-no-n",
         "noncolorable-no-rule", "tree-hat-no-tree", "tree-hat-no-leaves", "tree-hat-zero-hubs",
         "mod-reduce-no-coloring", "mod-reduce-no-graph", "mod-reduce-no-t", "scan-file",
-        "export-dot-wrong-length", "complete-zero", "complete-bipartite-zero",
-        "complete-tripartite-zero", "hypercube-zero", "gdn-d-one", "gdn-n-two", "kstar-zero",
-        "color-tripartite-zero"])
+        "export-dot-wrong-length", "mod-reduce-wrong-length", "complete-zero",
+        "complete-bipartite-zero", "complete-tripartite-zero", "hypercube-zero", "gdn-d-one",
+        "gdn-n-two", "kstar-zero", "color-tripartite-zero"])
 def test_refused_call(tmp_path, capsys, argv, message):
     files = {"G": tmp_path / "g.json", "C": tmp_path / "c.json", "OUT": tmp_path / "out.json"}
     run(capsys, "gen", "cycle", "4", "-o", str(files["G"]))

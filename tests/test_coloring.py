@@ -264,6 +264,28 @@ class TestSpectrumReport:
             assert (not rep.is_interval) or rep.is_cyclic_interval
             assert len(rep.colors) == g.degrees[v]
 
+    def test_every_star_coloring_matches_the_definition(self):
+        # every coloring of K_{1,d}, d <= 3, t <= 5, colors 0 .. t + 1 (935 in all),
+        # clashes and out-of-range colors included
+        from itertools import product
+        from intcyclic import make_complete_bipartite, spectrum_report
+        count = 0
+        for d in range(1, 4):
+            g = make_complete_bipartite(1, d)
+            for t in range(1, 6):
+                for colors in product(range(t + 2), repeat=d):
+                    count += 1
+                    col = EdgeColoring(t, colors)
+                    for v in range(g.vertex_count):
+                        rep = spectrum_report(g, col, v)
+                        s = set(rep.colors)
+                        in_range = all(1 <= c <= t for c in s)
+                        arc = oracles.rotation_scan_cyclic_interval(s, t)
+                        assert rep.is_cyclic_interval == (in_range and arc), (colors, t, v)
+                        assert rep.is_interval == (
+                            in_range and max(s) - min(s) + 1 == len(s)), (colors, t, v)
+        assert count == 935
+
 
 def test_coloring_json_round_trip():
     col = EdgeColoring(5, (1, 2, 5, 4, 3))

@@ -222,6 +222,13 @@ class TestHypercubeBase:
         with pytest.raises(ValueError):
             hypercube_base_interval(1)
 
+    def test_check_refuses_flipped_classes(self):
+        # the coloring is interval-valid, so only the class comparison fails
+        g, col, classes = hypercube_base_interval(4)
+        flipped = tuple(1 - c for c in classes)
+        with pytest.raises(RuntimeError, match="vertex 0 spectrum mismatch"):
+            constructions._check_base_step(4, g, col, flipped)
+
 
 class TestHypercubeCyclic:
     @pytest.mark.parametrize("n,t", [(n, 4 * (n - 1)) for n in range(2, 13)])
@@ -331,11 +338,11 @@ class TestSizeLimits:
     before any edge, color map or base cube exists (caps patched small)."""
 
     @staticmethod
-    def forbid(monkeypatch, *names):
+    def forbid(monkeypatch, *names, module=constructions):
         def built(*_):
             raise AssertionError("construction started before its size check")
         for name in names:
-            monkeypatch.setattr(constructions, name, built)
+            monkeypatch.setattr(module, name, built)
 
     def test_tripartite(self, monkeypatch):
         g, _ = color_tripartite(2, 3, 4)  # 9 vertices, 26 edges
@@ -352,7 +359,9 @@ class TestSizeLimits:
     def test_hypercube_interval(self, monkeypatch):
         monkeypatch.setattr(graphs, "MAX_EDGE_COUNT", 32)  # Q4 has 32 edges
         assert hypercube_base_interval(4)[1].t == 5
-        self.forbid(monkeypatch, "_check_base_step", "make_hypercube")
+        # make_hypercube refuses before its Graph exists, so no color map either
+        self.forbid(monkeypatch, "_check_base_step")
+        self.forbid(monkeypatch, "Graph", module=graphs)
         with pytest.raises(GraphError, match="limits"):
             hypercube_base_interval(5)
         with pytest.raises(GraphError, match="more than"):
@@ -361,7 +370,8 @@ class TestSizeLimits:
     def test_hypercube_cyclic(self, monkeypatch):
         monkeypatch.setattr(graphs, "MAX_VERTEX_COUNT", 32)
         assert color_hypercube_cyclic(5)[1].t == 16
-        self.forbid(monkeypatch, "hypercube_base_interval", "make_hypercube")
+        self.forbid(monkeypatch, "hypercube_base_interval")
+        self.forbid(monkeypatch, "Graph", module=graphs)
         with pytest.raises(GraphError, match="more than"):
             color_hypercube_cyclic(6)
 

@@ -30,7 +30,7 @@ from intcyclic import (
     validate_cyclic,
 )
 from intcyclic.bounds import degree_sum_obstruction, matching_floor, parity_obstruction
-from intcyclic.coloring import ValidationResult, Violation, _cyclic_cover_len, mod_color
+from intcyclic.coloring import ValidationResult, Violation, mod_color
 from intcyclic.graphs import all_trees_up_to, canonical_json, is_connected
 from intcyclic.noncolorable import Certificate
 from intcyclic.solver import (
@@ -216,14 +216,16 @@ class TestDecide:
                     assert got == oracles.naive_decide(5, g.edges, t), (subset, t)
 
 
-# every (spectrum, degree) pair for small t, against the validator's cover length
+# every (spectrum, degree) pair for small t: c is allowed when the spectrum
+# with c fits one of the t windows of d consecutive colors modulo t
 @pytest.mark.parametrize("t", range(1, 10))
 def test_allowed_is_window_extension(t):
     for mask in range(1 << t):
         spectrum = {c for c in range(1, t + 1) if mask >> (c - 1) & 1}
         for d in range(1, t + 1):
+            windows = [{(s + i) % t + 1 for i in range(d)} for s in range(t)]
             want = {c for c in range(1, t + 1)
-                    if _cyclic_cover_len(sorted(spectrum | {c}), t) <= d}
+                    if any(spectrum | {c} <= w for w in windows)}
             got = solver.allowed(mask, d, t)
             assert {c for c in range(1, t + 1) if got >> (c - 1) & 1} == want, (mask, d)
             assert got >> t == 0
