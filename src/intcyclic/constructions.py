@@ -5,9 +5,12 @@ coloring with W colors into a cyclic one with any t in [max-degree, W].
 Each constructor returns (graph, coloring); the coloring indexes the graph's
 canonical edge order.  hypercube_base_interval returns the 3-tuple
 (graph, coloring, classes), whose classes give each vertex's spectrum class.
-A constructor computes each color from the endpoints of its edge, walking the
-canonical edge list once.  FAMILIES names every constructor, and
-build_construction dispatches through it.
+A constructor walks the canonical edge list once and reads each color off
+the edge's ends by one closed form; color_complete_odd's form has four
+region rules, and color_complete_bipartite_cyclic moves one corner edge of
+the interval diagonal.  Only the two cube colorers and the fold check their
+result, raising RuntimeError if the check fails.  FAMILIES names every
+constructor, and build_construction dispatches through it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,12 @@ def mod_reduce(g: Graph, alpha: EdgeColoring, t: int) -> EdgeColoring:
     res = validate_interval(g, alpha)
     if not res.valid:
         raise ValueError(f"input coloring is not interval-valid: {res.to_dict()}")
+    return _fold(g, alpha, t)
+
+
+def _fold(g: Graph, alpha: EdgeColoring, t: int) -> EdgeColoring:
+    """mod_reduce on an alpha already known to be interval-valid, such as
+    an interval construction's own coloring."""
     if not g.max_degree() <= t <= alpha.t:
         raise ValueError(f"t={t} outside [{g.max_degree()}, {alpha.t}]")
     beta = EdgeColoring(t, tuple(mod_color(c, t) for c in alpha.colors))
@@ -57,61 +66,46 @@ def color_gdn(d: int, n: int) -> tuple[Graph, EdgeColoring]:
         for u, v in g.edges))
 
 
-def _odd_complete_case_values(i: int, j: int, n: int) -> list[int]:
-    """All case-table values matching edge (v_i, v_j), i < j, of the complete
-    graph on 2n+1 vertices."""
-    vals = []
-    h = n // 2
-    h1 = (n - 1) // 2
-    if i == 0 and j == 1:
-        vals.append(1)
-    if i == 0 and j == 2:
-        vals.append(2 * n + 1)
-    if i == 0 and 3 <= j <= n:
-        vals.append(j - 1)
-    if i == 0 and n + 1 <= j <= 2 * n - 2:
-        vals.append(n + 1 + j)
-    if i == 0 and j == 2 * n - 1:
-        vals.append(n)
-    if i == 0 and j == 2 * n:
-        vals.append(3 * n)
-    if 1 <= i <= h and 2 <= j <= n and i + j <= n + 1:
-        vals.append(i + j - 1)
-    if 2 <= i <= n - 1 and h + 2 <= j <= n and i + j >= n + 2:
-        vals.append(i + j + n - 2)
-    if 3 <= i <= n and n + 1 <= j <= 2 * n - 2 and j - i <= n - 2:
-        vals.append(n + 1 + j - i)
-    if 1 <= i <= n and n + 1 <= j <= 2 * n and j - i >= n:
-        vals.append(j - i + 1)
-    if 2 <= i <= 1 + h1 and n + 1 <= j <= n + h1 and j - i == n - 1:
-        vals.append(2 * i - 1)
-    if h1 + 2 <= i <= n and n + 1 + h1 <= j <= 2 * n - 1 and j - i == n - 1:
-        vals.append(i + j - 1)
-    if n + 1 <= i <= n + h - 1 and n + 2 <= j <= 2 * n - 2 and i + j <= 3 * n - 1:
-        vals.append(i + j - 2 * n + 1)
-    if n + 1 <= i <= 2 * n - 1 and n + h + 1 <= j <= 2 * n and i + j >= 3 * n:
-        vals.append(i + j - n)
-    return vals
+def _odd_complete_color(i: int, j: int, n: int) -> int:
+    """Color of the edge (v_i, v_j), i < j, in color_complete_odd(n)."""
+    if i == 0:  # the row of v_0
+        if j <= 2:
+            return 1 if j == 1 else 2 * n + 1
+        if j >= 2 * n - 1:
+            return n if j == 2 * n - 1 else 3 * n
+        return j - 1 if j <= n else n + 1 + j
+    if j <= n or i > n:  # inside A, or inside B
+        s = i + j - 1 if j <= n else i + j - 2 * n + 1
+        return s + n - 1 if s > n else s
+    k = j - i  # across, i <= n < j
+    if k != n - 1:
+        return k + 1 if k >= n else n + 1 + k
+    return 2 * i - 1 if 2 * i <= n + 1 else 2 * i + n - 2
 
 
 def color_complete_odd(n: int) -> tuple[Graph, EdgeColoring]:
-    """Cyclic 3n-coloring of the complete graph on 2n+1 vertices.
+    """Cyclic 3n-coloring of the complete graph on 2n+1 vertices v_0 .. v_2n.
 
-    For small n several case ranges of the coloring table can address the
-    same edge; any multiply-matched edge must receive one consistent value.
+    With the halves A = v_1 .. v_n and B = v_{n+1} .. v_2n, the edge
+    (v_i, v_j), i < j, takes its color from one of four region rules:
+
+    - row of v_0: j = 1 gives 1 and j = 2 gives 2n+1; 3 <= j <= n gives j-1
+      and n+1 <= j <= 2n-2 gives n+1+j; j = 2n-1 gives n and j = 2n gives 3n;
+    - inside A: s = i+j-1, plus n-1 when s > n;
+    - inside B: s = i+j-2n+1, plus n-1 when s > n;
+    - across, i <= n < j, with k = j-i: k >= n gives k+1 and k <= n-2 gives
+      n+1+k; k = n-1 gives 2i-1 when 2i <= n+1, else 2i+n-2.
+
+    The regions partition the edges, so each edge gets exactly one color.
+    Every vertex sees an arc of 2n consecutive colors on the circle [1, 3n].
+    The arc of v_0 starts at 2n+1 and wraps to [1, n]; v_1 and v_2 start at
+    1 and 2, v_i at i-1 and v_{n+i-2} at i for 3 <= i <= n, and v_{2n-1} and
+    v_2n at n and n+1.
     """
     if n < 1:
         raise ValueError("needs n >= 1")
     g = make_complete(2 * n + 1)
-    colors = []
-    for i, j in g.edges:
-        vals = _odd_complete_case_values(i, j, n)
-        if not vals:
-            raise RuntimeError(f"edge (v{i}, v{j}) matched no case for n={n}")
-        if len(set(vals)) > 1:
-            raise RuntimeError(f"edge (v{i}, v{j}) matched inconsistent cases {vals} for n={n}")
-        colors.append(vals[0])
-    return g, EdgeColoring(3 * n, tuple(colors))
+    return g, EdgeColoring(3 * n, tuple(_odd_complete_color(i, j, n) for i, j in g.edges))
 
 
 def color_complete_bipartite_cyclic(m: int, n: int) -> tuple[Graph, EdgeColoring]:
@@ -269,7 +263,8 @@ def build_construction(family: str, params: Sequence[int], t: Optional[int] = No
     """(graph, coloring) of a FAMILIES constructor at the given integer
     parameters, or (graph, coloring, classes) for hypercube-interval.  A
     target width t other than the constructor's folds an interval
-    construction down to t colors by mod_reduce; any t given to a cyclic
+    construction down to t colors by mod_reduce's fold, without checking the
+    construction's interval coloring again; any t given to a cyclic
     construction is refused before it is built."""
     build = _family_builder(FAMILIES, family, params)
     if t is not None and family not in _INTERVAL_FAMILIES:
@@ -277,5 +272,5 @@ def build_construction(family: str, params: Sequence[int], t: Optional[int] = No
                          f"({', '.join(_INTERVAL_FAMILIES)}); {family} is cyclic")
     g, col, *classes = build(*params)
     if t is not None and t != col.t:
-        col = mod_reduce(g, col, t)
+        col = _fold(g, col, t)
     return (g, col, *classes)

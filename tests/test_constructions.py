@@ -100,13 +100,13 @@ class TestCompleteOdd:
         assert col.t == 3 and col.colors == (1, 3, 2)
         assert validate_cyclic(g, col).valid
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 31))
     def test_valid(self, n):
         g, col = color_complete_odd(n)
         assert col.t == 3 * n
         assert validate_cyclic(g, col).valid
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 31))
     def test_spectra_match_stated_pattern(self, n):
         g, col = color_complete_odd(n)
         assert spectrum(g, col, 0) == interval(1, n) | interval(2 * n + 1, 3 * n)
@@ -326,6 +326,8 @@ class TestHypercubeBuilds:
     (hypercube_base_interval, (8,), "fd8dfdaeb4980f1c"),
     (hypercube_base_interval, (10,), "56180791fff5f427"),
     (hypercube_base_interval, (12,), "d7f9c7f4b9a59486"),
+    (color_complete_odd, (15,), "57d940d2eafb58c3"),
+    (color_complete_odd, (40,), "c3c7501533578d56"),
 ])
 def test_colorer_bytes_are_stable(build, params, digest):
     g, col, *classes = build(*params)
@@ -399,6 +401,23 @@ class TestConstructionRequests:
         g, col, classes = build_construction("hypercube-interval", (4,), t=4)
         assert col.t == 4 and validate_cyclic(g, col).valid
         assert classes == hypercube_base_interval(4)[2]
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_folded_cube_is_validated_once_per_mode(self, monkeypatch, n):
+        # the cube colorer checks its interval coloring, so the fold checks
+        # only its own cyclic result
+        from intcyclic import coloring
+        from intcyclic.constructions import build_construction
+        modes = []
+        validate = coloring._validate
+
+        def counted(g, col, cyclic):
+            modes.append("cyclic" if cyclic else "interval")
+            return validate(g, col, cyclic)
+
+        monkeypatch.setattr(coloring, "_validate", counted)
+        build_construction("hypercube-interval", (n,), t=n)
+        assert sorted(modes) == ["cyclic", "interval"]
 
     def test_target_width_on_cyclic_construction_rejected(self):
         from intcyclic.constructions import build_construction
